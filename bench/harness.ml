@@ -178,6 +178,15 @@ let measure ?(opts = Instrument.Plan.all_opts) ?(workers = 4) ?(cores = 4)
   let n = float_of_int trials in
   let avg f = List.fold_left (fun a x -> a +. f x) 0. acc /. n in
   let s_of (tr : Chimera.Runner.trial) = tr.tr_recorded.rc_outcome.o_stats in
+  (* compressed log sizes (Table 2), computed after the trials ran *)
+  let sizes =
+    par_map (fun (tr : Chimera.Runner.trial) ->
+        Chimera.Runner.log_sizes tr.tr_recorded.rc_log)
+      acc
+  in
+  let avg_size f =
+    List.fold_left (fun a sz -> a +. float_of_int (f sz)) 0. sizes /. n
+  in
   (* contention metrics come from one extra record run with a sink
      installed (trial-1 configuration), so the measured trials themselves
      stay trace-free and their timings untouched *)
@@ -213,10 +222,8 @@ let measure ?(opts = Instrument.Plan.all_opts) ?(workers = 4) ?(cores = 4)
     m_record =
       avg (fun tr -> float_of_int tr.Chimera.Runner.tr_recorded.rc_outcome.o_ticks);
     m_replay = avg (fun tr -> float_of_int tr.Chimera.Runner.tr_replay.o_ticks);
-    m_input_log =
-      avg (fun tr -> float_of_int tr.Chimera.Runner.tr_recorded.rc_input_log_z);
-    m_order_log =
-      avg (fun tr -> float_of_int tr.Chimera.Runner.tr_recorded.rc_order_log_z);
+    m_input_log = avg_size (fun sz -> sz.Chimera.Runner.ls_input_z);
+    m_order_log = avg_size (fun sz -> sz.Chimera.Runner.ls_order_z);
     m_memops = avg (fun x -> float_of_int (s_of x).n_mem_ops);
     m_weak_op_ticks = avg (fun x -> float_of_int (s_of x).weak_op_ticks);
     m_log_ticks =

@@ -305,7 +305,9 @@ int main() { int t[2]; int i0; int t0;
                tr.Chimera.Runner.tr_recorded.rc_outcome.o_stats.n_forced)
          in
          let tot_log =
-           sum (fun tr -> tr.Chimera.Runner.tr_recorded.rc_order_log_z)
+           sum (fun tr ->
+               (Chimera.Runner.log_sizes tr.Chimera.Runner.tr_recorded.rc_log)
+                 .ls_order_z)
          in
          ( wt,
            float_of_int tot_rec /. float_of_int tot_native,

@@ -400,11 +400,16 @@ let record_cmd =
         Chimera.Runner.record ~config:(config_of ~strategy s cores) ?sink ~io
           prog
       in
-      write_file (prefix ^ ".input.log") (Replay.Log.encode_input_log r.rc_log);
-      write_file (prefix ^ ".order.log") (Replay.Log.encode_order_log r.rc_log);
+      let input = Replay.Log.encode_input_log r.rc_log in
+      let order = Replay.Log.encode_order_log r.rc_log in
+      write_file (prefix ^ ".input.log") input;
+      write_file (prefix ^ ".order.log") order;
       Fmt.epr "[logs: input %dB (%dB gz), order %dB (%dB gz) -> %s.*.log]@."
-        r.rc_input_log_raw r.rc_input_log_z r.rc_order_log_raw
-        r.rc_order_log_z prefix;
+        (String.length input)
+        (Zcompress.compressed_size input)
+        (String.length order)
+        (Zcompress.compressed_size order)
+        prefix;
       r
     in
     let record_seg_one ?sink ~dir s =
@@ -743,7 +748,8 @@ let bench_cmd =
     Fmt.pr "native %d ticks | record %d ticks (%.2fx) | replay %d ticks (%.2fx)@."
       ov.ov_native_ticks ov.ov_record_ticks ov.ov_record ov.ov_replay_ticks
       ov.ov_replay;
-    Fmt.pr "logs: input %dB gz | order %dB gz@." r.rc_input_log_z r.rc_order_log_z;
+    let sz = Chimera.Runner.log_sizes r.rc_log in
+    Fmt.pr "logs: input %dB gz | order %dB gz@." sz.ls_input_z sz.ls_order_z;
     Fmt.pr "runtime weak acquisitions (record): %d@."
       (Refine.runtime_weak_acqs r.rc_outcome);
     (match

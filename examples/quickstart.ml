@@ -63,8 +63,9 @@ let () =
     Fmt.(list ~sep:comma int)
     (List.map snd r.rc_outcome.o_outputs)
     r.rc_outcome.o_ticks;
-  Fmt.pr "log sizes    : input %dB, order %dB (compressed)@."
-    r.rc_input_log_z r.rc_order_log_z;
+  let sz = Chimera.Runner.log_sizes r.rc_log in
+  Fmt.pr "log sizes    : input %dB, order %dB (compressed)@." sz.ls_input_z
+    sz.ls_order_z;
 
   let replay_config = { record_config with seed = 99999 } in
   let o = Chimera.Runner.replay ~config:replay_config ~io an.an_instrumented r.rc_log in

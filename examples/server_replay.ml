@@ -56,8 +56,9 @@ let () =
     (100.
     *. float_of_int (Array.fold_left ( + ) 0 s.n_weak_acq)
     /. float_of_int (max 1 s.n_mem_ops));
-  Fmt.pr "log sizes (gz)  : input %dB, order %dB@." r.rc_input_log_z
-    r.rc_order_log_z;
+  let sz = Chimera.Runner.log_sizes r.rc_log in
+  Fmt.pr "log sizes (gz)  : input %dB, order %dB@." sz.ls_input_z
+    sz.ls_order_z;
 
   let o =
     Chimera.Runner.replay

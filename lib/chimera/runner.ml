@@ -1,5 +1,6 @@
-(** Execution drivers: native / record / replay runs, log-size accounting,
-    and the determinism check used throughout the tests and benchmarks.
+(** Execution drivers: native / record / replay runs, on-demand log-size
+    accounting ({!log_sizes}), and the determinism check used throughout
+    the tests and benchmarks.
 
     Overheads are ratios of simulated makespan (ticks): the paper's
     "recording overhead" is record-run ticks on the {e instrumented}
@@ -11,10 +12,6 @@ open Interp
 type recorded = {
   rc_outcome : Engine.outcome;
   rc_log : Replay.Log.t;
-  rc_input_log_raw : int;     (** bytes before compression *)
-  rc_order_log_raw : int;
-  rc_input_log_z : int;       (** compressed bytes *)
-  rc_order_log_z : int;
 }
 
 let native ?(config = Engine.default_config) ?sink ~io prog : Engine.outcome =
@@ -34,16 +31,23 @@ let record ?(config = Engine.default_config) ?hooks ?sink ?phases ~io prog :
     | Some rc -> rc
     | None -> invalid_arg "record: engine returned no recorder"
   in
-  let log = rc.Replay.Recorder.log in
-  let input_raw = Replay.Log.encode_input_log log in
-  let order_raw = Replay.Log.encode_order_log log in
+  { rc_outcome = outcome; rc_log = rc.Replay.Recorder.log }
+
+type log_sizes = {
+  ls_input_raw : int;  (** bytes before compression *)
+  ls_order_raw : int;
+  ls_input_z : int;  (** compressed bytes *)
+  ls_order_z : int;
+}
+
+let log_sizes (log : Replay.Log.t) : log_sizes =
+  let input = Replay.Log.encode_input_log log in
+  let order = Replay.Log.encode_order_log log in
   {
-    rc_outcome = outcome;
-    rc_log = log;
-    rc_input_log_raw = String.length input_raw;
-    rc_order_log_raw = String.length order_raw;
-    rc_input_log_z = Zcompress.compressed_size input_raw;
-    rc_order_log_z = Zcompress.compressed_size order_raw;
+    ls_input_raw = String.length input;
+    ls_order_raw = String.length order;
+    ls_input_z = Zcompress.compressed_size input;
+    ls_order_z = Zcompress.compressed_size order;
   }
 
 let replay ?(config = Engine.default_config) ?hooks ?sink ~io prog

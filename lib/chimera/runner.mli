@@ -1,17 +1,15 @@
-(** Execution drivers: native / record / replay runs, log-size
-    accounting, determinism checking, and overhead measurement
+(** Execution drivers: native / record / replay runs, on-demand log-size
+    accounting ({!log_sizes}), determinism checking, and overhead measurement
     (record-run ticks on the instrumented program over native ticks on
     the original, with identical inputs). *)
 
 open Interp
 
+(** A recording: the record run's outcome and its in-memory log. Log
+    sizes are not part of it; {!log_sizes} computes them on demand. *)
 type recorded = {
   rc_outcome : Engine.outcome;
   rc_log : Replay.Log.t;
-  rc_input_log_raw : int;
-  rc_order_log_raw : int;
-  rc_input_log_z : int;   (** compressed bytes *)
-  rc_order_log_z : int;
 }
 
 (** All drivers accept an optional trace [sink] (see {!Trace}); events
@@ -58,6 +56,17 @@ val replay :
   Minic.Ast.program ->
   Replay.Log.t ->
   Engine.outcome
+
+type log_sizes = {
+  ls_input_raw : int;  (** encoded input log, bytes *)
+  ls_order_raw : int;  (** encoded order log, bytes *)
+  ls_input_z : int;  (** {!Zcompress.compressed_size} of the input log *)
+  ls_order_z : int;
+}
+
+(** Raw and compressed sizes of both encoded logs (Table 2). Encodes and
+    compresses on every call, so call it outside any timed section. *)
+val log_sizes : Replay.Log.t -> log_sizes
 
 type seg_recorded = {
   sr_outcome : Engine.outcome;

@@ -92,6 +92,10 @@ let compress (src : string) : string =
   flush_literals n;
   Buffer.contents out
 
+exception Corrupt of string
+
+let corrupt fmt = Printf.ksprintf (fun m -> raise (Corrupt m)) fmt
+
 let decompress (z : string) : string =
   let out = Buffer.create (String.length z * 2) in
   let i = ref 0 in
@@ -101,12 +105,19 @@ let decompress (z : string) : string =
     incr i;
     if t < 0x80 then begin
       let run = t + 1 in
+      if !i + run > n then
+        corrupt "literal run of %d bytes at offset %d, %d left" run (!i - 1)
+          (n - !i);
       Buffer.add_substring out z !i run;
       i := !i + run
     end
     else begin
       let len = t - 0x80 + min_match in
+      if !i + 2 > n then corrupt "truncated match header at offset %d" (!i - 1);
       let dist = Char.code z.[!i] lor (Char.code z.[!i + 1] lsl 8) in
+      if dist = 0 || dist > Buffer.length out then
+        corrupt "match distance %d at offset %d, %d bytes decoded" dist (!i - 1)
+          (Buffer.length out);
       i := !i + 2;
       let start = Buffer.length out - dist in
       for k = 0 to len - 1 do

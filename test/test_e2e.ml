@@ -215,10 +215,11 @@ let test_log_sizes_nonzero () =
   let an = analysis_of b in
   let io = b.b_io ~seed:42 ~scale:b.b_profile_scale in
   let r = Chimera.Runner.record ~config:(eval_config 1) ~io an.an_instrumented in
-  Alcotest.(check bool) "input log nonempty" true (r.rc_input_log_raw > 0);
-  Alcotest.(check bool) "order log nonempty" true (r.rc_order_log_raw > 0);
+  let sz = Chimera.Runner.log_sizes r.rc_log in
+  Alcotest.(check bool) "input log nonempty" true (sz.ls_input_raw > 0);
+  Alcotest.(check bool) "order log nonempty" true (sz.ls_order_raw > 0);
   Alcotest.(check bool) "compression shrinks order log" true
-    (r.rc_order_log_z < r.rc_order_log_raw);
+    (sz.ls_order_z < sz.ls_order_raw);
   (* decode the encoded logs and replay from the decoded copy *)
   let log' =
     Replay.Log.decode
@@ -247,6 +248,26 @@ let test_thread_scaling () =
             Chimera.Runner.pp_divergence d)
     [ 2; 8 ]
 
+(* log_sizes is exactly the persisted form's sizes: the encoded logs'
+   lengths and their compressed lengths *)
+let test_log_sizes_pinned () =
+  let b = Bench_progs.Registry.by_name "pfscan" in
+  let an = analysis_of b in
+  let io = b.b_io ~seed:42 ~scale:b.b_profile_scale in
+  let r = Chimera.Runner.record ~config:(eval_config 2) ~io an.an_instrumented in
+  let input = Replay.Log.encode_input_log r.rc_log in
+  let order = Replay.Log.encode_order_log r.rc_log in
+  let sz = Chimera.Runner.log_sizes r.rc_log in
+  Alcotest.(check (list int))
+    "raw input, raw order, z input, z order"
+    [
+      String.length input;
+      String.length order;
+      Zcompress.compressed_size input;
+      Zcompress.compressed_size order;
+    ]
+    [ sz.ls_input_raw; sz.ls_order_raw; sz.ls_input_z; sz.ls_order_z ]
+
 let suite =
   [
     Alcotest.test_case "record/replay determinism (all benchmarks)" `Slow
@@ -262,5 +283,7 @@ let suite =
     Alcotest.test_case "loop-lock range claims sound" `Quick
       test_range_claims_sound;
     Alcotest.test_case "log sizes + decoded replay" `Quick test_log_sizes_nonzero;
+    Alcotest.test_case "log_sizes = encoded + compressed lengths" `Quick
+      test_log_sizes_pinned;
     Alcotest.test_case "thread scaling 2/8" `Slow test_thread_scaling;
   ]

@@ -111,10 +111,8 @@ let trial_digest (tr : Chimera.Runner.trial) =
   ( outcome_digest tr.tr_native,
     outcome_digest tr.tr_recorded.rc_outcome,
     outcome_digest tr.tr_replay,
-    ( tr.tr_recorded.rc_input_log_raw,
-      tr.tr_recorded.rc_order_log_raw,
-      tr.tr_recorded.rc_input_log_z,
-      tr.tr_recorded.rc_order_log_z ),
+    (let sz = Chimera.Runner.log_sizes tr.tr_recorded.rc_log in
+     (sz.ls_input_raw, sz.ls_order_raw, sz.ls_input_z, sz.ls_order_z)),
     Replay.Log.encode_input_log tr.tr_recorded.rc_log,
     Replay.Log.encode_order_log tr.tr_recorded.rc_log )
 

@@ -70,6 +70,40 @@ let prop_repetitive_shrinks =
       let s = String.concat "" (List.init reps (fun _ -> unit_s)) in
       String.length (Zcompress.compress s) < String.length s)
 
+(* decompress on damaged input: returns, or raises the typed [Corrupt];
+   any other exception fails the property *)
+let returns_or_corrupt z =
+  match Zcompress.decompress z with
+  | _ -> true
+  | exception Zcompress.Corrupt _ -> true
+
+let prop_arbitrary_bytes_typed =
+  QCheck.Test.make ~name:"decompress arbitrary bytes: ok or Corrupt"
+    ~count:500
+    QCheck.(string_gen_of_size (Gen.int_range 0 300) (Gen.map Char.chr (Gen.int_range 0 255)))
+    returns_or_corrupt
+
+let prop_truncation_typed =
+  QCheck.Test.make ~name:"decompress every truncation: ok or Corrupt"
+    ~count:100
+    (QCheck.make ~print:String.escaped gen_mixed)
+    (fun s ->
+      let z = Zcompress.compress s in
+      List.for_all
+        (fun k -> returns_or_corrupt (String.sub z 0 k))
+        (List.init (String.length z + 1) Fun.id))
+
+let test_corrupt_cases () =
+  let raises name z =
+    match Zcompress.decompress z with
+    | _ -> Alcotest.failf "%s: decompressed" name
+    | exception Zcompress.Corrupt _ -> ()
+  in
+  raises "truncated literal run" "\x05abc";
+  raises "truncated match header" "\x03abcd\x80\x01";
+  raises "match distance 0" "\x03abcd\x80\x00\x00";
+  raises "match distance beyond output" "\x03abcd\x80\x05\x00"
+
 let suite =
   [
     Alcotest.test_case "roundtrip simple" `Quick test_roundtrip_simple;
@@ -81,4 +115,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_roundtrip_mixed;
     QCheck_alcotest.to_alcotest prop_compressed_size;
     QCheck_alcotest.to_alcotest prop_repetitive_shrinks;
+    Alcotest.test_case "malformed streams raise Corrupt" `Quick test_corrupt_cases;
+    QCheck_alcotest.to_alcotest prop_arbitrary_bytes_typed;
+    QCheck_alcotest.to_alcotest prop_truncation_typed;
   ]
