@@ -126,8 +126,9 @@ refine-check:
 # through the spilling recorder with a small segment threshold, measure
 # that the peak resident segment stays a fraction of the raw log total,
 # stream the segments back (full replay == recording, windowed replay
-# halts on the digest the full replay computed), roundtrip every pinned
-# checkpoint, and drive the CLI --segment-dir loop end to end — a
+# halts on the digest the full replay computed), check every pinned
+# checkpoint is a well-formed digest and the directory holds only
+# segments + manifest, and drive the CLI --segment-dir loop end to end — a
 # hand-corrupted segment checksum must exit with the typed status 3.
 # JSON report lands in /tmp/chimera-log.json.
 log-check:

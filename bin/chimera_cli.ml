@@ -481,8 +481,8 @@ let record_cmd =
       value & opt int 1
       & info [ "checkpoint-every" ]
           ~doc:
-            "With --segment-dir: pin an engine checkpoint every K-th seal \
-             (0 disables checkpoints)")
+            "With --segment-dir: pin the engine's state digest in the \
+             manifest at every K-th seal (0 disables checkpoints)")
   in
   Cmd.v (Cmd.info "record" ~doc:"Instrument and record an execution")
     Term.(

@@ -80,8 +80,8 @@ type seg_recorded = {
     compressed and checksummed — to [dir] (see {!Replay.Seglog}), so the
     resident log never exceeds one segment
     ({!Replay.Seglog.writer_stats.ws_peak_raw}). Every
-    [checkpoint_every]-th seal also pins an engine checkpoint (state
-    digest + marshalled snapshot); [checkpoint_every = 0] disables
+    [checkpoint_every]-th seal also pins an engine checkpoint (its state
+    digest, in the manifest); [checkpoint_every = 0] disables
     checkpoints. Spilling charges no simulated ticks and seal points
     depend only on the recorded event counts, so the execution — ticks,
     outputs, golden counters — is identical to a monolithic recording. *)

@@ -2621,7 +2621,7 @@ let tick_core eng c =
       end
 
 (* ------------------------------------------------------------------ *)
-(* Checkpoints: the marshallable slice of engine state.
+(* Checkpoints: state-digest pins.
 
    Effect continuations ([thread.resume]) cannot be marshalled, so a
    checkpoint is not a resumable image — it is a {e pin}: the digest of
@@ -2629,74 +2629,37 @@ let tick_core eng c =
    (memory, outputs, per-thread progress, scheduler rng). Two runs that
    agree on every pinned digest took the same execution through those
    points; re-recording determinism and windowed-vs-full replay
-   equivalence are both checked against these digests. The snapshot
-   bytes additionally carry the full memory image for offline
-   inspection. *)
-
-type snapshot = {
-  sn_ticks : int;
-  sn_rng : int;
-  sn_live : int;
-  sn_outputs : (K.tid_path * int) list;  (** oldest first *)
-  sn_mem_hash : int;
-  sn_blocks : (int * K.origin * Value.t array * bool) list;
-      (** (id, origin, cells, freed), live blocks in id order *)
-  sn_threads : (K.tid_path * int * int * int) list;
-      (** (path, steps, weak_acqs, status code 0=runnable 1=done
-          2=blocked), spawn order *)
-}
+   equivalence are both checked against these digests. *)
 
 let status_code = function Runnable -> 0 | Done -> 1 | Blocked _ -> 2
-
-let make_snapshot (eng : t) : snapshot =
-  let blocks = ref [] in
-  for i = Array.length eng.mem.Mem.blocks - 1 downto 0 do
-    match eng.mem.Mem.blocks.(i) with
-    | Some b ->
-        blocks :=
-          (b.Mem.b_id, b.Mem.b_origin, Array.copy b.Mem.cells, b.Mem.b_freed)
-          :: !blocks
-    | None -> ()
-  done;
-  let threads =
-    List.rev_map
-      (fun tid ->
-        let th = Hashtbl.find eng.threads tid in
-        (th.path, th.steps, th.weak_acqs, status_code th.status))
-      eng.thread_order
-  in
-  {
-    sn_ticks = eng.ticks;
-    sn_rng = eng.rng;
-    sn_live = eng.live;
-    sn_outputs = List.rev eng.outputs;
-    sn_mem_hash = Mem.state_hash eng.mem;
-    sn_blocks = !blocks;
-    sn_threads = threads;
-  }
-
-let snapshot_bytes (eng : t) : string =
-  Marshal.to_string (make_snapshot eng) []
 
 (** Deterministic hex digest of the engine's pinned state. Comparable
     only between runs at the same logical point: seal-time digests pin
     re-recording determinism; replay-side digests captured at a segment
     drain pin windowed replay against full streamed replay. *)
 let state_digest (eng : t) : string =
-  let b = Buffer.create 512 in
-  Buffer.add_string b
-    (Fmt.str "mem=%d ticks=%d rng=%d live=%d" (Mem.state_hash eng.mem)
-       eng.ticks eng.rng eng.live);
+  (* fixed-width ints, length-prefixed paths and a tag per entry keep the
+     encoding injective; lists go in their stored (newest-first) order *)
+  let b = Buffer.create 4096 in
+  let int n = Buffer.add_int64_le b (Int64.of_int n) in
+  let path p =
+    int (List.length p);
+    List.iter int p
+  in
+  List.iter int [ Mem.state_hash eng.mem; eng.ticks; eng.rng; eng.live ];
   List.iter
-    (fun (p, v) -> Buffer.add_string b (Fmt.str " o:%a=%d" K.pp_tid_path p v))
-    (List.rev eng.outputs);
+    (fun (p, v) ->
+      Buffer.add_char b 'o';
+      path p;
+      int v)
+    eng.outputs;
   List.iter
     (fun tid ->
       let th = Hashtbl.find eng.threads tid in
-      Buffer.add_string b
-        (Fmt.str " t:%a=%d,%d,%d" K.pp_tid_path th.path th.steps th.weak_acqs
-           (status_code th.status)))
-    (List.rev eng.thread_order);
+      Buffer.add_char b 't';
+      path th.path;
+      List.iter int [ th.steps; th.weak_acqs; status_code th.status ])
+    eng.thread_order;
   Digest.to_hex (Digest.string (Buffer.contents b))
 
 (* ------------------------------------------------------------------ *)

@@ -79,32 +79,67 @@ let addr_key (m : t) (p : Value.ptr) : Key.addr =
   let b = block m p.p_block in
   { Key.a_origin = b.b_origin; a_off = p.p_off }
 
+(* Injective, self-delimiting encoding for the state hash: every
+   integer is 8 fixed-width bytes, every string carries its length, every
+   origin and cell starts with a tag, so distinct memories never encode
+   alike. *)
+let add_int buf n = Buffer.add_int64_le buf (Int64.of_int n)
+
+let add_origin buf (o : Key.origin) =
+  let add_path p =
+    add_int buf (List.length p);
+    List.iter (add_int buf) p
+  in
+  match o with
+  | Key.OGlobal g ->
+      Buffer.add_char buf 'G';
+      add_int buf (String.length g);
+      Buffer.add_string buf g
+  | Key.OFrame (p, n) ->
+      Buffer.add_char buf 'F';
+      add_path p;
+      add_int buf n
+  | Key.OHeap (p, n) ->
+      Buffer.add_char buf 'H';
+      add_path p;
+      add_int buf n
+
 (** Deterministic hash of all live global and heap memory, with pointer
     values canonicalized through their origins. Frames are excluded (they
     belong to still-running threads only at non-quiescent points; at
-    program end all frames are gone anyway). *)
+    program end all frames are gone anyway). One pass: the live blocks,
+    sorted by origin, are encoded into one buffer whose MD5 gives the
+    hash, so every block and every cell counts. *)
 let state_hash (m : t) : int =
-  let canon_value (v : Value.t) =
-    match v with
-    | Value.VPtr p -> (
-        match find_opt m p.p_block with
-        | Some b -> Fmt.str "ptr(%a+%d)" Key.pp_origin b.b_origin p.p_off
-        | None -> "ptr(dead)")
-    | Value.VInt n -> string_of_int n
-    | Value.VFun f -> "&" ^ f
-  in
-  let entries = ref [] in
+  let live = ref [] in
   Array.iter
     (function
-      | Some b -> (
-          match b.b_origin with
-          | Key.OGlobal _ | Key.OHeap _ when not b.b_freed ->
-              entries :=
-                Fmt.str "%a=%s" Key.pp_origin b.b_origin
-                  (String.concat ","
-                     (Array.to_list (Array.map canon_value b.cells)))
-                :: !entries
-          | _ -> ())
-      | None -> ())
+      | Some ({ b_origin = Key.OGlobal _ | Key.OHeap _; b_freed = false; _ }
+              as b) ->
+          live := b :: !live
+      | _ -> ())
     m.blocks;
-  Hashtbl.hash (List.sort compare !entries)
+  let buf = Buffer.create 4096 in
+  List.iter
+    (fun b ->
+      add_origin buf b.b_origin;
+      add_int buf (Array.length b.cells);
+      Array.iter
+        (function
+          | Value.VInt n ->
+              Buffer.add_char buf 'i';
+              add_int buf n
+          | Value.VPtr p -> (
+              match find_opt m p.p_block with
+              | Some t ->
+                  Buffer.add_char buf 'p';
+                  add_origin buf t.b_origin;
+                  add_int buf p.p_off
+              | None -> Buffer.add_char buf 'd')
+          | Value.VFun f ->
+              Buffer.add_char buf 'f';
+              add_int buf (String.length f);
+              Buffer.add_string buf f)
+        b.cells)
+    (List.sort (fun a b -> Key.compare_origin a.b_origin b.b_origin) !live);
+  Int64.to_int (String.get_int64_le (Digest.string (Buffer.contents buf)) 0)

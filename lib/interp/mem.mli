@@ -34,5 +34,6 @@ val store : t -> Value.ptr -> Value.t -> unit
 val addr_key : t -> Value.ptr -> Runtime.Key.addr
 
 (** Deterministic hash of live global + heap memory with pointers
-    canonicalized through origins (the determinism-check state hash). *)
+    canonicalized through origins (the determinism-check state hash).
+    Covers every live block and cell; independent of block-id order. *)
 val state_hash : t -> int

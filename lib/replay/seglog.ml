@@ -7,29 +7,24 @@
     - [manifest] — one text line per segment (index, tick range, event
       count, raw/compressed sizes, MD5 of each compressed blob, optional
       checkpoint pin), bracketed by the magic header
-      ["chimera-log-segments/1"] and a trailing [end <count>] line so a
-      truncated manifest is detected;
+      ["chimera-log-segments/2"] and a trailing [end <count>] line so a
+      truncated manifest is detected. A checkpoint pin is the engine's
+      32-hex state digest at the seal ([ckpt=<digest>], or [ckpt=-]);
+      nothing else is stored for it;
     - [seg-NNNN.seg] — the segment payload: the magic line
       ["chimera-log-segment/1"], the two blob sizes, then the
       {!Zcompress}ed {!Log.encode_input_log} and
       {!Log.encode_order_log} bytes. The in-segment format {e is} the
       historical single-blob encoding — golden ticks and record==replay
-      stay the contract;
-    - [ckpt-NNNN.bin] — when the recorder pinned a checkpoint at this
-      seal: the marshalled engine snapshot, whose state digest and MD5
-      live in the manifest entry.
+      stay the contract.
 
-    Every corruption — bad magic, size or checksum mismatch, truncation,
-    trailing bytes — surfaces as the typed {!Log.Corrupt}, exactly like
-    a damaged monolithic log; nothing in here crashes on garbage. *)
+    Every corruption — bad magic (a v1 directory included), size or
+    checksum mismatch, truncation, trailing bytes, a malformed pin —
+    surfaces as the typed {!Log.Corrupt}, exactly like a damaged
+    monolithic log; nothing in here crashes on garbage. *)
 
-let magic = "chimera-log-segments/1"
+let magic = "chimera-log-segments/2"
 let segment_magic = "chimera-log-segment/1"
-
-type checkpoint = {
-  ck_digest : string;  (** engine state digest at the seal (hex) *)
-  ck_md5 : string;     (** MD5 of the snapshot bytes (hex) *)
-}
 
 type segment = {
   sg_index : int;
@@ -42,7 +37,8 @@ type segment = {
   sg_z_order : int;
   sg_md5_input : string;
   sg_md5_order : string;
-  sg_checkpoint : checkpoint option;
+  sg_checkpoint : string option;
+      (** engine state digest pinned at this seal (32 hex characters) *)
 }
 
 type manifest = { mf_segments : segment array }
@@ -50,7 +46,6 @@ type manifest = { mf_segments : segment array }
 let corrupt fmt = Fmt.kstr (fun m -> raise (Log.Corrupt m)) fmt
 
 let segment_file idx = Fmt.str "seg-%04d.seg" idx
-let checkpoint_file idx = Fmt.str "ckpt-%04d.bin" idx
 let manifest_file = "manifest"
 
 (* ------------------------------------------------------------------ *)
@@ -78,15 +73,11 @@ let rec mkdir_p dir =
 (* ------------------------------------------------------------------ *)
 (* Manifest serialization *)
 
-let checkpoint_field = function
-  | None -> "ckpt=-"
-  | Some c -> Fmt.str "ckpt=%s,%s" c.ck_digest c.ck_md5
-
 let segment_line (s : segment) =
   Fmt.str "segment %d first=%d last=%d events=%d raw=%d,%d z=%d,%d md5=%s,%s %s"
     s.sg_index s.sg_first_tick s.sg_last_tick s.sg_events s.sg_raw_input
     s.sg_raw_order s.sg_z_input s.sg_z_order s.sg_md5_input s.sg_md5_order
-    (checkpoint_field s.sg_checkpoint)
+    ("ckpt=" ^ Option.value s.sg_checkpoint ~default:"-")
 
 let manifest_string (m : manifest) =
   let b = Buffer.create 256 in
@@ -100,8 +91,9 @@ let manifest_string (m : manifest) =
   Buffer.add_string b (Fmt.str "end %d\n" (Array.length m.mf_segments));
   Buffer.contents b
 
-let is_hex s =
-  s <> ""
+(* a hex MD5, as [Digest.to_hex] renders it *)
+let is_digest s =
+  String.length s = 32
   && String.for_all
        (function '0' .. '9' | 'a' .. 'f' -> true | _ -> false)
        s
@@ -112,20 +104,6 @@ let parse_segment_line idx line =
       Scanf.sscanf line
         "segment %d first=%d last=%d events=%d raw=%d,%d z=%d,%d md5=%s@,%s@ ckpt=%s"
         (fun i ft lt ev ri ro zi zo mi mo ck ->
-          let ckpt =
-            match ck with
-            | "-" -> None
-            | _ -> (
-                match String.index_opt ck ',' with
-                | Some p ->
-                    Some
-                      {
-                        ck_digest = String.sub ck 0 p;
-                        ck_md5 =
-                          String.sub ck (p + 1) (String.length ck - p - 1);
-                      }
-                | None -> corrupt "manifest line %d: bad checkpoint %S" idx ck)
-          in
           {
             sg_index = i;
             sg_first_tick = ft;
@@ -137,18 +115,18 @@ let parse_segment_line idx line =
             sg_z_order = zo;
             sg_md5_input = mi;
             sg_md5_order = mo;
-            sg_checkpoint = ckpt;
+            sg_checkpoint = (if ck = "-" then None else Some ck);
           })
     with Scanf.Scan_failure _ | Failure _ | End_of_file ->
       corrupt "manifest line %d unparsable: %S" idx line
   in
   if s.sg_index <> idx - 1 then
     corrupt "manifest line %d: segment index %d out of order" idx s.sg_index;
-  if not (is_hex s.sg_md5_input && is_hex s.sg_md5_order) then
+  if not (is_digest s.sg_md5_input && is_digest s.sg_md5_order) then
     corrupt "manifest line %d: malformed checksum" idx;
   (match s.sg_checkpoint with
-  | Some c when not (is_hex c.ck_digest && is_hex c.ck_md5) ->
-      corrupt "manifest line %d: malformed checkpoint digest" idx
+  | Some d when not (is_digest d) ->
+      corrupt "manifest line %d: malformed checkpoint digest %S" idx d
   | _ -> ());
   s
 
@@ -205,7 +183,8 @@ let writer_stats w = w.w_stats
 let create_writer ~dir : writer =
   mkdir_p dir;
   (* a fresh recording owns the directory: stale segments from a longer
-     previous recording must not shadow the new manifest *)
+     previous recording must not shadow the new manifest, and a v1
+     recording's [ckpt-*.bin] snapshots must not linger beside it *)
   Array.iter
     (fun f ->
       if
@@ -231,7 +210,7 @@ let flush_manifest w =
     (Filename.concat w.w_dir manifest_file)
     (manifest_string (manifest_of_writer w))
 
-let append (w : writer) ?snapshot ~first_tick ~last_tick ~events
+let append (w : writer) ?checkpoint ~first_tick ~last_tick ~events
     (log : Log.t) =
   if w.w_closed then invalid_arg "Seglog.append: writer closed";
   let idx = w.w_stats.ws_segments in
@@ -247,13 +226,6 @@ let append (w : writer) ?snapshot ~first_tick ~last_tick ~events
   Buffer.add_string b z_i;
   Buffer.add_string b z_o;
   write_file (Filename.concat w.w_dir (segment_file idx)) (Buffer.contents b);
-  let ckpt =
-    match snapshot with
-    | None -> None
-    | Some (digest, bytes) ->
-        write_file (Filename.concat w.w_dir (checkpoint_file idx)) bytes;
-        Some { ck_digest = digest; ck_md5 = Digest.to_hex (Digest.string bytes) }
-  in
   let seg =
     {
       sg_index = idx;
@@ -266,7 +238,7 @@ let append (w : writer) ?snapshot ~first_tick ~last_tick ~events
       sg_z_order = String.length z_o;
       sg_md5_input = Digest.to_hex (Digest.string z_i);
       sg_md5_order = Digest.to_hex (Digest.string z_o);
-      sg_checkpoint = ckpt;
+      sg_checkpoint = checkpoint;
     }
   in
   w.w_segments <- seg :: w.w_segments;
@@ -347,18 +319,6 @@ let load_segment ~dir (s : segment) : Log.t =
       (String.length raw_i) (String.length raw_o) s.sg_raw_input
       s.sg_raw_order;
   Log.decode raw_i raw_o
-
-(** The snapshot bytes pinned at this segment's seal, checksum-verified;
-    [None] when the seal carried no checkpoint. *)
-let load_snapshot ~dir (s : segment) : string option =
-  match s.sg_checkpoint with
-  | None -> None
-  | Some c ->
-      let path = Filename.concat dir (checkpoint_file s.sg_index) in
-      let bytes = read_file path in
-      if Digest.to_hex (Digest.string bytes) <> c.ck_md5 then
-        corrupt "%s: snapshot checksum mismatch" path;
-      Some bytes
 
 (** Sequential pull over the directory's segments (decoded, verified),
     for {!Replayer.of_stream}. Segments load lazily — a windowed replay

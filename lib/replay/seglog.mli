@@ -1,21 +1,17 @@
-(** Segmented on-disk recording ([chimera-log-segments/1]): sealed,
+(** Segmented on-disk recording ([chimera-log-segments/2]): sealed,
     {!Zcompress}ed, MD5-checksummed log segments in a directory with a
     manifest, written incrementally by the spilling recorder and
     streamed back by {!Replayer.of_stream}. Optional per-seal engine
-    checkpoints (state digest + marshalled snapshot) are pinned in the
-    manifest. All corruption — bad magic, size or checksum mismatches,
-    truncation — raises the typed {!Log.Corrupt}, never a crash. *)
+    checkpoints — each exactly one state digest — are pinned in the
+    manifest. All corruption — bad magic (a v1 directory included), size
+    or checksum mismatches, truncation, malformed pins — raises the
+    typed {!Log.Corrupt}, never a crash. *)
 
 val magic : string
-(** Manifest header: ["chimera-log-segments/1"]. *)
+(** Manifest header: ["chimera-log-segments/2"]. *)
 
 val segment_magic : string
 (** Per-segment-file header: ["chimera-log-segment/1"]. *)
-
-type checkpoint = {
-  ck_digest : string;  (** engine state digest at the seal (hex) *)
-  ck_md5 : string;     (** MD5 of the snapshot bytes (hex) *)
-}
 
 type segment = {
   sg_index : int;
@@ -28,13 +24,13 @@ type segment = {
   sg_z_order : int;
   sg_md5_input : string;
   sg_md5_order : string;
-  sg_checkpoint : checkpoint option;
+  sg_checkpoint : string option;
+      (** engine state digest pinned at this seal (32 hex characters) *)
 }
 
 type manifest = { mf_segments : segment array }
 
 val segment_file : int -> string
-val checkpoint_file : int -> string
 val manifest_file : string
 
 (* Writer *)
@@ -52,17 +48,16 @@ type writer_stats = {
 type writer
 
 (** Own [dir] for a fresh recording: create it, drop stale segment /
-    checkpoint / manifest files. *)
+    manifest files and the [*.bin] snapshots a v1 recording left. *)
 val create_writer : dir:string -> writer
 
 (** Seal one segment: encode, compress, checksum, write
     [seg-NNNN.seg], and rewrite the manifest (so a crashed recording
-    leaves a readable prefix). [snapshot], when given, is the engine's
-    [(state_digest, marshalled bytes)] checkpoint, written to
-    [ckpt-NNNN.bin] and pinned in the manifest entry. *)
+    leaves a readable prefix). [checkpoint], when given, is the engine's
+    state digest at the seal, pinned in the manifest entry. *)
 val append :
   writer ->
-  ?snapshot:string * string ->
+  ?checkpoint:string ->
   first_tick:int ->
   last_tick:int ->
   events:int ->
@@ -80,9 +75,6 @@ val read_manifest : dir:string -> manifest
 val load_segment : dir:string -> segment -> Log.t
 (** Verify magic, sizes and checksums, decompress, decode.
     @raise Log.Corrupt on any mismatch. *)
-
-val load_snapshot : dir:string -> segment -> string option
-(** The checksum-verified snapshot bytes pinned at this seal, if any. *)
 
 val stream : dir:string -> manifest * (unit -> Log.t option)
 (** Lazy sequential pull for {!Replayer.of_stream}; a windowed replay

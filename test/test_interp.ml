@@ -423,6 +423,50 @@ let test_weak_timeout_breaks_deadlock () =
     o.o_timed_out;
   Alcotest.(check (list int)) "result" [ 2 ] (outputs o)
 
+(* ------------------------------------------------------------------ *)
+(* Mem.state_hash: complete and allocation-order independent *)
+
+(* [n] globals g00..g{n-1} of 3 cells each, allocated in [order], and a
+   heap block allocated right after g05 (so its id depends on [order])
+   that the last global points into; [poke] edits cells afterwards *)
+let build_mem ?(poke = fun _ -> ()) ~order n =
+  let open Interp in
+  let m = Mem.create () in
+  let heap = ref None in
+  let globals =
+    List.map
+      (fun i ->
+        let b = Mem.alloc m (Runtime.Key.OGlobal (Fmt.str "g%02d" i)) 3 in
+        b.cells.(0) <- Value.VInt i;
+        b.cells.(2) <- Value.VFun "main";
+        if i = 5 then heap := Some (Mem.alloc m (Runtime.Key.OHeap ([ 1 ], 0)) 2);
+        (i, b))
+      order
+  in
+  let heap = Option.get !heap in
+  heap.cells.(1) <- Value.VInt 7;
+  let g i = List.assoc i globals in
+  (g (n - 1)).cells.(1) <- Value.VPtr { p_block = heap.b_id; p_off = 1 };
+  poke g;
+  Mem.state_hash m
+
+let test_state_hash_complete () =
+  let ids = List.init 20 Fun.id in
+  let base = build_mem ~order:ids 20 in
+  (* g15 sorts after the 10th block: every block must count *)
+  let edited =
+    build_mem ~order:ids 20 ~poke:(fun g ->
+        (g 15).Interp.Mem.cells.(1) <- Interp.Value.VInt 1)
+  in
+  Alcotest.(check bool) "cell of the 16th block changes the hash" true
+    (base <> edited)
+
+let test_state_hash_order_independent () =
+  let ids = List.init 20 Fun.id in
+  Alcotest.(check int) "block-id order does not matter"
+    (build_mem ~order:ids 20)
+    (build_mem ~order:(List.rev ids) 20)
+
 let suite =
   [
     Alcotest.test_case "arith" `Quick test_arith;
@@ -451,4 +495,8 @@ let suite =
     Alcotest.test_case "io latency overlap" `Quick test_io_latency_overlap;
     Alcotest.test_case "weak timeout breaks deadlock" `Quick
       test_weak_timeout_breaks_deadlock;
+    Alcotest.test_case "state hash covers every block" `Quick
+      test_state_hash_complete;
+    Alcotest.test_case "state hash ignores block-id order" `Quick
+      test_state_hash_order_independent;
   ]

@@ -3,8 +3,9 @@
     replay reproduces the execution segment by segment, windowed replay
     halts at the covering segment with the same state digest the full
     replay (and the recorder's pinned checkpoint) has there, and every
-    kind of on-disk damage — segment payloads, checkpoints, the manifest
-    — surfaces as the typed [Replay.Log.Corrupt], never a crash. *)
+    kind of on-disk damage — segment payloads, checkpoint pins, the
+    manifest, a v1 directory — surfaces as the typed
+    [Replay.Log.Corrupt], never a crash. *)
 
 open Interp
 
@@ -144,9 +145,7 @@ let test_checkpoints_pin_rerecordings () =
   let ck (m : Replay.Seglog.manifest) =
     Array.to_list m.mf_segments
     |> List.map (fun (s : Replay.Seglog.segment) ->
-           match s.sg_checkpoint with
-           | Some c -> c.Replay.Seglog.ck_digest
-           | None -> "-")
+           Option.value s.sg_checkpoint ~default:"-")
   in
   (* seal points are functions of the gated event counts, and the
      execution is deterministic given seed+inputs, so re-recordings pin
@@ -163,25 +162,28 @@ let test_checkpoints_pin_rerecordings () =
     "segment checksums identical" true
     (md5s a.sr_manifest = md5s b.sr_manifest)
 
-let test_snapshots_load_and_unmarshal () =
+let is_digest d =
+  String.length d = 32
+  && String.for_all (function '0' .. '9' | 'a' .. 'f' -> true | _ -> false) d
+
+let test_checkpoints_are_digest_pins () =
   with_seg_dir @@ fun dir ->
+  (* a stale v1 snapshot file: the fresh recording must sweep it *)
+  Sys.mkdir dir 0o755;
+  Out_channel.with_open_bin (Filename.concat dir "ckpt-0000.bin") (fun oc ->
+      output_string oc "v1 snapshot");
   let seg = record_seg ~checkpoint_every:2 ~dir () in
-  let m = seg.sr_manifest in
-  let some = ref 0 and none = ref 0 in
-  Array.iter
-    (fun (s : Replay.Seglog.segment) ->
-      match Replay.Seglog.load_snapshot ~dir s with
-      | Some bytes ->
-          incr some;
-          Alcotest.(check bool) "snapshot non-empty" true (String.length bytes > 0);
-          (* checkpoint bytes are a marshalled engine snapshot *)
-          let sn : Engine.snapshot = Marshal.from_string bytes 0 in
-          Alcotest.(check bool) "snapshot ticks within segment range" true
-            (sn.Engine.sn_ticks >= s.sg_first_tick)
-      | None -> incr none)
-    m.mf_segments;
+  let pins =
+    Array.to_list seg.sr_manifest.mf_segments
+    |> List.map (fun (s : Replay.Seglog.segment) -> s.sg_checkpoint)
+  in
   Alcotest.(check bool) "checkpoint_every=2 leaves gaps" true
-    (!some > 0 && !none > 0)
+    (List.mem None pins && List.exists Option.is_some pins);
+  Alcotest.(check bool) "every pin is a 32-hex digest" true
+    (List.for_all (Option.fold ~none:true ~some:is_digest) pins);
+  Alcotest.(check (list string)) "no checkpoint files beside the segments" []
+    (Sys.readdir dir |> Array.to_list
+    |> List.filter (fun f -> String.starts_with ~prefix:"ckpt-" f))
 
 (* ------------------------------------------------------------------ *)
 (* Corruption: typed errors, never crashes *)
@@ -247,17 +249,36 @@ let test_corrupt_manifest () =
   Alcotest.(check bool) "missing manifest is typed" true
     (is_corrupt (fun () -> replay_dir dir))
 
-let test_corrupt_checkpoint () =
+(* rewrite line [n] of the manifest (0 is the magic header) *)
+let edit_manifest_line dir n f =
+  clobber (Filename.concat dir Replay.Seglog.manifest_file) (fun s ->
+      String.split_on_char '\n' s
+      |> List.mapi (fun i l -> if i = n then f l else l)
+      |> String.concat "\n")
+
+let test_corrupt_checkpoint_pin () =
+  List.iter
+    (fun (what, edit) ->
+      with_seg_dir @@ fun dir ->
+      let _ = record_seg ~dir () in
+      (* the pin is the first segment line's last field, [ckpt=<pin>] *)
+      edit_manifest_line dir 1 (fun l ->
+          let eq = String.rindex l '=' + 1 in
+          String.sub l 0 eq ^ edit (String.sub l eq (String.length l - eq)));
+      Alcotest.(check bool) what true
+        (is_corrupt (fun () -> Replay.Seglog.read_manifest ~dir)))
+    [
+      ("truncated pin is typed", fun p -> String.sub p 0 31);
+      ("non-hex pin is typed", fun p -> "zz" ^ String.sub p 2 30);
+      ("overlong pin is typed", fun p -> p ^ "00");
+    ]
+
+let test_corrupt_v1_manifest () =
   with_seg_dir @@ fun dir ->
-  let seg = record_seg ~dir () in
-  let s0 = seg.sr_manifest.mf_segments.(0) in
-  Alcotest.(check bool) "first seal has a checkpoint" true
-    (s0.Replay.Seglog.sg_checkpoint <> None);
-  clobber
-    (Filename.concat dir (Replay.Seglog.checkpoint_file 0))
-    (fun s -> s ^ "\x00garbage");
-  Alcotest.(check bool) "damaged snapshot is typed" true
-    (is_corrupt (fun () -> Replay.Seglog.load_snapshot ~dir s0))
+  let _ = record_seg ~dir () in
+  edit_manifest_line dir 0 (fun _ -> "chimera-log-segments/1");
+  Alcotest.(check bool) "v1 manifest is typed" true
+    (is_corrupt (fun () -> replay_dir dir))
 
 let suite =
   [
@@ -269,12 +290,14 @@ let suite =
       test_windowed_replay_halts_with_matching_digest;
     Alcotest.test_case "checkpoints pin re-recordings" `Quick
       test_checkpoints_pin_rerecordings;
-    Alcotest.test_case "snapshots load and unmarshal" `Quick
-      test_snapshots_load_and_unmarshal;
+    Alcotest.test_case "checkpoints are digest pins" `Quick
+      test_checkpoints_are_digest_pins;
     Alcotest.test_case "corrupt: segment payload" `Quick
       test_corrupt_segment_payload;
     Alcotest.test_case "corrupt: segment magic" `Quick
       test_corrupt_segment_magic;
     Alcotest.test_case "corrupt: manifest" `Quick test_corrupt_manifest;
-    Alcotest.test_case "corrupt: checkpoint" `Quick test_corrupt_checkpoint;
+    Alcotest.test_case "corrupt: tampered checkpoint pin" `Quick
+      test_corrupt_checkpoint_pin;
+    Alcotest.test_case "corrupt: v1 manifest" `Quick test_corrupt_v1_manifest;
   ]
