@@ -69,7 +69,7 @@ let record_segmented ?(config = Engine.default_config) ?hooks ?sink ~io ~dir
   let w = Replay.Seglog.create_writer ~dir in
   let eng = Engine.make_engine ~config ?hooks ?sink ~mode:Engine.Record ~io prog in
   let rc =
-    match eng.Engine.recorder with
+    match Engine.recorder eng with
     | Some rc -> rc
     | None -> invalid_arg "record_segmented: engine has no recorder"
   in
@@ -88,7 +88,7 @@ let record_segmented ?(config = Engine.default_config) ?hooks ?sink ~io ~dir
   in
   Replay.Recorder.set_spill rc ~events_per_segment ~flush;
   let outcome = Engine.run_engine eng in
-  Replay.Recorder.finish rc ~now:eng.Engine.ticks;
+  Replay.Recorder.finish rc ~now:(Engine.ticks eng);
   let stats = Replay.Seglog.writer_stats w in
   let manifest = Replay.Seglog.close_writer w in
   { sr_outcome = outcome; sr_manifest = manifest; sr_stats = stats; sr_dir = dir }

@@ -64,6 +64,12 @@ let jobs () =
 
 let () =
   Printexc.record_backtrace true;
+  (* Alcotest's assertion output gets formatters of its own: the suites'
+     Alcotest_sync lock keeps domains off them one at a time, and no
+     other code (the main domain's [Format.std_formatter] included)
+     touches them *)
+  Alcotest_engine.Formatters.(set_stdout (make_stdout ()));
+  Alcotest_engine.Formatters.(set_stderr (make_stderr ()));
   let j = jobs () in
   let results =
     Par.Pool.with_pool ~clamp:false ~domains:j (fun p ->

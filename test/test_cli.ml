@@ -63,6 +63,15 @@ let run_cli ?cache_dir exe args =
   if cache_dir = None then rm_rf cdir;
   (code, o, e)
 
+(** [check int what expected code], with the child's stderr [err] in the
+    failure message: a bare exit status (say, 125 from an uncaught
+    exception) says nothing about the cause. *)
+let check_exit what expected code err =
+  let what =
+    if code = expected then what else Fmt.str "%s; child stderr:\n%s" what err
+  in
+  Alcotest.(check int) what expected code
+
 let contains hay needle =
   let nh = String.length hay and nn = String.length needle in
   let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
@@ -97,28 +106,28 @@ let with_src f =
 let test_races () =
   with_exe @@ fun exe ->
   with_src @@ fun mc ->
-  let code, out, _ = run_cli exe [ "races"; mc ] in
-  Alcotest.(check int) "races exit code" 0 code;
+  let code, out, err = run_cli exe [ "races"; mc ] in
+  check_exit "races exit code" 0 code err;
   check_contains "races stdout" out "race pairs";
   check_contains "races stdout" out "roots:";
   (* with MHP off the candidate count must still be reported *)
-  let code, out_raw, _ = run_cli exe [ "races"; mc; "--no-mhp" ] in
-  Alcotest.(check int) "races --no-mhp exit code" 0 code;
+  let code, out_raw, err = run_cli exe [ "races"; mc; "--no-mhp" ] in
+  check_exit "races --no-mhp exit code" 0 code err;
   check_contains "races --no-mhp stdout" out_raw "race pairs";
   (* explain mode lists provenance per candidate *)
-  let code, out_ex, _ = run_cli exe [ "races"; mc; "--explain-races" ] in
-  Alcotest.(check int) "races --explain-races exit code" 0 code;
+  let code, out_ex, err = run_cli exe [ "races"; mc; "--explain-races" ] in
+  check_exit "races --explain-races exit code" 0 code err;
   check_contains "explain stdout" out_ex "candidate pairs";
   check_contains "explain stdout" out_ex "[kept]"
 
 let test_plan_instrument () =
   with_exe @@ fun exe ->
   with_src @@ fun mc ->
-  let code, out, _ = run_cli exe [ "plan"; mc; "--profile-runs"; "4" ] in
-  Alcotest.(check int) "plan exit code" 0 code;
+  let code, out, err = run_cli exe [ "plan"; mc; "--profile-runs"; "4" ] in
+  check_exit "plan exit code" 0 code err;
   check_contains "plan stdout" out "lock";
-  let code, out, _ = run_cli exe [ "instrument"; mc; "--profile-runs"; "4" ] in
-  Alcotest.(check int) "instrument exit code" 0 code;
+  let code, out, err = run_cli exe [ "instrument"; mc; "--profile-runs"; "4" ] in
+  check_exit "instrument exit code" 0 code err;
   check_contains "instrument stdout" out "__weak_enter";
   check_contains "instrument stdout" out "int main"
 
@@ -126,7 +135,7 @@ let test_run () =
   with_exe @@ fun exe ->
   with_src @@ fun mc ->
   let code, out, err = run_cli exe [ "run"; mc ] in
-  Alcotest.(check int) "run exit code" 0 code;
+  check_exit "run exit code" 0 code err;
   Alcotest.(check bool) "run printed the counter" true (String.trim out <> "");
   check_contains "run stderr" err "simulated ticks"
 
@@ -144,27 +153,27 @@ let test_record_replay () =
     run_cli exe
       [ "record"; mc; "--seed"; "5"; "--profile-runs"; "4"; "-o"; prefix ]
   in
-  Alcotest.(check int) "record exit code" 0 code;
+  check_exit "record exit code" 0 code rec_err;
   Alcotest.(check bool) "input log written" true (Sys.file_exists input_log);
   Alcotest.(check bool) "order log written" true (Sys.file_exists order_log);
   check_contains "record stderr" rec_err "logs:";
   (* replay under a different scheduler seed must reproduce the
      recorded outputs exactly *)
-  let code, rep_out, _ =
+  let code, rep_out, err =
     run_cli exe
       [ "replay"; mc; "--seed"; "12"; "--profile-runs"; "4"; "--logs"; prefix ]
   in
-  Alcotest.(check int) "replay exit code" 0 code;
+  check_exit "replay exit code" 0 code err;
   Alcotest.(check string) "replay outputs == recorded outputs" rec_out rep_out
 
 let test_det () =
   with_exe @@ fun exe ->
   with_src @@ fun mc ->
   let det seed =
-    let code, out, _ =
+    let code, out, err =
       run_cli exe [ "det"; mc; "--profile-runs"; "4"; "--seed"; seed ]
     in
-    Alcotest.(check int) (Fmt.str "det --seed %s exit code" seed) 0 code;
+    check_exit (Fmt.str "det --seed %s exit code" seed) 0 code err;
     out
   in
   Alcotest.(check string)
@@ -177,11 +186,11 @@ let test_trace () =
   Fun.protect ~finally:(fun () ->
       if Sys.file_exists out_json then Sys.remove out_json)
   @@ fun () ->
-  let code, out, _ =
+  let code, out, err =
     run_cli exe
       [ "trace"; mc; "--profile-runs"; "4"; "--trace-out"; out_json ]
   in
-  Alcotest.(check int) "trace exit code" 0 code;
+  check_exit "trace exit code" 0 code err;
   check_contains "trace stdout" out "events";
   check_contains "trace stdout" out "handoffs served";
   check_contains "trace stdout" out
@@ -201,17 +210,17 @@ let test_replay_corrupt_log () =
         (fun f -> if Sys.file_exists f then Sys.remove f)
         [ prefix; input_log; order_log ])
   @@ fun () ->
-  let code, _, _ =
+  let code, _, err =
     run_cli exe [ "record"; mc; "--profile-runs"; "4"; "-o"; prefix ]
   in
-  Alcotest.(check int) "record exit code" 0 code;
+  check_exit "record exit code" 0 code err;
   (* smash the order log: an unterminated over-long varint *)
   Out_channel.with_open_bin order_log (fun oc ->
       output_string oc (String.make 10 '\xff'));
   let code, _, err =
     run_cli exe [ "replay"; mc; "--profile-runs"; "4"; "--logs"; prefix ]
   in
-  Alcotest.(check int) "corrupt log exit code" 3 code;
+  check_exit "corrupt log exit code" 3 code err;
   check_contains "replay stderr" err "corrupt"
 
 let test_bad_file () =
@@ -226,16 +235,16 @@ let test_cache_subcommand () =
   Fun.protect ~finally:(fun () -> rm_rf cdir) @@ fun () ->
   (* cold run populates the cache; the warm run must print the same plan *)
   let args = [ "plan"; mc; "--profile-runs"; "4"; "--cache-dir"; cdir ] in
-  let code, cold_out, _ = run_cli ~cache_dir:cdir exe args in
-  Alcotest.(check int) "cold plan exit code" 0 code;
+  let code, cold_out, err = run_cli ~cache_dir:cdir exe args in
+  check_exit "cold plan exit code" 0 code err;
   let code, warm_out, warm_err = run_cli ~cache_dir:cdir exe args in
-  Alcotest.(check int) "warm plan exit code" 0 code;
+  check_exit "warm plan exit code" 0 code warm_err;
   Alcotest.(check string) "warm plan == cold plan" cold_out warm_out;
   Alcotest.(check string) "warm run is quiet on stderr" "" warm_err;
-  let code, stats_out, _ =
+  let code, stats_out, err =
     run_cli ~cache_dir:cdir exe [ "cache"; "stats"; "--cache-dir"; cdir ]
   in
-  Alcotest.(check int) "cache stats exit code" 0 code;
+  check_exit "cache stats exit code" 0 code err;
   check_contains "cache stats stdout" stats_out "entries: 1";
   (* a damaged entry degrades to recomputation: same stdout, a one-line
      warning on stderr, exit 0 *)
@@ -246,37 +255,37 @@ let test_cache_subcommand () =
             output_string oc "CHIMERA-ANCACHE/1\ntrunca"))
     (Sys.readdir cdir);
   let code, out, err = run_cli ~cache_dir:cdir exe args in
-  Alcotest.(check int) "damaged-entry exit code" 0 code;
+  check_exit "damaged-entry exit code" 0 code err;
   Alcotest.(check string) "damaged entry recomputes the same plan"
     cold_out out;
   check_contains "damaged-entry stderr" err "warning:";
   (* --no-cache bypasses the store entirely *)
-  let code, out, _ =
+  let code, out, err =
     run_cli ~cache_dir:cdir exe
       [ "plan"; mc; "--profile-runs"; "4"; "--no-cache" ]
   in
-  Alcotest.(check int) "--no-cache exit code" 0 code;
+  check_exit "--no-cache exit code" 0 code err;
   Alcotest.(check string) "--no-cache plan matches" cold_out out;
-  let code, clear_out, _ =
+  let code, clear_out, err =
     run_cli ~cache_dir:cdir exe [ "cache"; "clear"; "--cache-dir"; cdir ]
   in
-  Alcotest.(check int) "cache clear exit code" 0 code;
+  check_exit "cache clear exit code" 0 code err;
   check_contains "cache clear stdout" clear_out "removed";
-  let code, stats_out, _ =
+  let code, stats_out, err =
     run_cli ~cache_dir:cdir exe [ "cache"; "stats"; "--cache-dir"; cdir ]
   in
-  Alcotest.(check int) "cache stats after clear exit code" 0 code;
+  check_exit "cache stats after clear exit code" 0 code err;
   check_contains "cache stats after clear" stats_out "entries: 0"
 
 let test_jobs_identical () =
   with_exe @@ fun exe ->
   with_src @@ fun mc ->
   let run j =
-    let code, out, _ =
+    let code, out, err =
       run_cli exe
         [ "plan"; mc; "--profile-runs"; "4"; "--no-cache"; "-j"; j ]
     in
-    Alcotest.(check int) (Fmt.str "plan -j %s exit code" j) 0 code;
+    check_exit (Fmt.str "plan -j %s exit code" j) 0 code err;
     out
   in
   Alcotest.(check string) "-j 4 plan is byte-identical to -j 1" (run "1")
@@ -301,14 +310,14 @@ let test_record_replay_sweep () =
   @@ fun () ->
   (* a --seeds sweep records one log pair per seed under per-seed
      prefixes, with a content-addressed dedup summary *)
-  let code, out, _ =
+  let code, out, err =
     run_cli exe
       [
         "record"; mc; "--profile-runs"; "4"; "--seeds"; "1..3"; "--strategy";
         "storm"; "-o"; prefix;
       ]
   in
-  Alcotest.(check int) "record sweep exit code" 0 code;
+  check_exit "record sweep exit code" 0 code err;
   check_contains "record sweep stdout" out "recorded 3 seeds";
   List.iter
     (fun f ->
@@ -316,14 +325,14 @@ let test_record_replay_sweep () =
     seed_files;
   (* the same log replayed under every seed in a range must be one and
      the same execution, even across a record/replay strategy change *)
-  let code, out, _ =
+  let code, out, err =
     run_cli exe
       [
         "replay"; mc; "--profile-runs"; "4"; "--logs"; prefix ^ ".2";
         "--seeds"; "5..8";
       ]
   in
-  Alcotest.(check int) "replay sweep exit code" 0 code;
+  check_exit "replay sweep exit code" 0 code err;
   check_contains "replay sweep stdout" out "replay under 4 seeds: IDENTICAL"
 
 let test_stress_matrix () =
@@ -335,14 +344,14 @@ let test_stress_matrix () =
   @@ fun () ->
   (* instrumented source: every distinct recording must replay clean,
      and fault injection must never crash the decoder/replayer *)
-  let code, out, _ =
+  let code, out, err =
     run_cli exe
       [
         "stress"; "--src"; mc; "--seeds"; "1..2"; "--max-truncations"; "8";
         "--max-flips"; "4"; "--json"; json;
       ]
   in
-  Alcotest.(check int) "stress exit code" 0 code;
+  check_exit "stress exit code" 0 code err;
   check_contains "stress stdout" out
     "stress matrix: 1 program(s) x 2 seed(s) x 3 strategies";
   check_contains "stress stdout" out "distinct logs";
@@ -357,11 +366,11 @@ let test_stress_raw_divergence () =
   with_src @@ fun mc ->
   (* --raw records the uninstrumented racy program: the negative control
      whose replays are expected to diverge, driving the exit-2 path *)
-  let code, out, _ =
+  let code, out, err =
     run_cli exe
       [ "stress"; "--src"; mc; "--raw"; "--seeds"; "1..4"; "--no-fault-inject" ]
   in
-  Alcotest.(check int) "raw stress exit code" 2 code;
+  check_exit "raw stress exit code" 2 code err;
   check_contains "raw stress stdout" out "replay diverged";
   check_contains "raw stress stdout" out "issue(s)"
 
@@ -375,19 +384,19 @@ let test_stress_fault_logs () =
         (fun f -> if Sys.file_exists f then Sys.remove f)
         [ prefix; input_log; order_log ])
   @@ fun () ->
-  let code, _, _ =
+  let code, _, err =
     run_cli exe [ "record"; mc; "--profile-runs"; "4"; "-o"; prefix ]
   in
-  Alcotest.(check int) "record exit code" 0 code;
+  check_exit "record exit code" 0 code err;
   (* a valid pair decode-validates up front, then the matrix runs *)
-  let code, out, _ =
+  let code, out, err =
     run_cli exe
       [
         "stress"; "--fault-logs"; prefix; "--src"; mc; "--seeds"; "1..1";
         "--strategies"; "storm"; "--no-fault-inject";
       ]
   in
-  Alcotest.(check int) "valid --fault-logs exit code" 0 code;
+  check_exit "valid --fault-logs exit code" 0 code err;
   check_contains "stress stdout" out "decode OK";
   check_contains "stress stdout" out "x 1 strategy";
   check_contains "stress stdout" out "stress: OK";
@@ -395,7 +404,7 @@ let test_stress_fault_logs () =
   Out_channel.with_open_bin order_log (fun oc ->
       output_string oc (String.make 10 '\xff'));
   let code, _, err = run_cli exe [ "stress"; "--fault-logs"; prefix ] in
-  Alcotest.(check int) "corrupt --fault-logs exit code" 3 code;
+  check_exit "corrupt --fault-logs exit code" 3 code err;
   check_contains "stress stderr" err "corrupt replay log"
 
 let suite =

@@ -154,52 +154,36 @@ let test_range_claims_sound () =
   let an = analysis_of b in
   let io = b.b_io ~seed:42 ~scale:b.b_profile_scale in
   let config = eval_config 4 in
+  let hooks = Interp.Engine.no_hooks () in
   let eng =
-    Interp.Engine.make_engine ~config ~mode:Interp.Engine.Native ~io
+    Interp.Engine.make_engine ~config ~hooks ~mode:Interp.Engine.Native ~io
       an.an_instrumented
   in
   let violations = ref [] in
-  eng.hooks.on_mem <-
+  hooks.on_mem <-
     Some
       (fun tid addr ~write:_ ~sid ->
-        (* collect the claims this thread currently holds, via the engine's
-           weak-lock manager *)
-        match Hashtbl.find_opt eng.threads tid with
-        | None -> ()
-        | Some th -> (
-            match th.regions with
-            | [] -> ()
-            | { rg_acqs } :: _ ->
-                List.iter
-                  (fun ((_ : Minic.Ast.weak_lock), claim) ->
-                    List.iter
-                      (fun (r : Runtime.Weaklock.range) ->
-                        match Interp.Mem.find_opt eng.mem r.rg_block with
-                        | Some blk
-                          when blk.Interp.Mem.b_origin = addr.Runtime.Key.a_origin
-                          ->
-                            (* access to a claimed block must be within
-                               SOME claimed range of that block *)
-                            let covered =
-                              List.exists
-                                (fun (r' : Runtime.Weaklock.range) ->
-                                  (match
-                                     Interp.Mem.find_opt eng.mem
-                                       r'.rg_block
-                                   with
-                                  | Some b' ->
-                                      b'.Interp.Mem.b_origin
-                                      = addr.Runtime.Key.a_origin
-                                  | None -> false)
-                                  && r'.rg_lo <= addr.a_off
-                                  && addr.a_off <= r'.rg_hi)
-                                claim
-                            in
-                            if not covered then
-                              violations := (sid, addr) :: !violations
-                        | _ -> ())
-                      claim)
-                  rg_acqs))
+        (* the claims this thread currently holds, one per lock of its
+           innermost region *)
+        List.iter
+          (fun (claim : Replay.Log.sclaim) ->
+            List.iter
+              (fun (r : Replay.Log.srange) ->
+                if r.sr_origin = addr.Runtime.Key.a_origin then
+                  (* access to a claimed block must be within SOME
+                     claimed range of that block *)
+                  let covered =
+                    List.exists
+                      (fun (r' : Replay.Log.srange) ->
+                        r'.sr_origin = addr.a_origin
+                        && r'.sr_lo <= addr.a_off
+                        && addr.a_off <= r'.sr_hi)
+                      claim
+                  in
+                  if not covered then
+                    violations := (sid, addr) :: !violations)
+              claim)
+          (Interp.Engine.region_claims eng ~tid))
   (* NB: only accesses to blocks that appear in the claim are checked —
      accesses to unclaimed objects are governed by other locks *);
   let o = Interp.Engine.run_engine eng in

@@ -424,6 +424,216 @@ let test_weak_timeout_breaks_deadlock () =
   Alcotest.(check (list int)) "result" [ 2 ] (outputs o)
 
 (* ------------------------------------------------------------------ *)
+(* Ill-typed nodes fault when they execute *)
+
+(* [p] with every assignment to [x] in function [f] retargeted to [lv]
+   (the typechecker rejects such lvalues in source) *)
+let retarget_assign p ~f (lv : Minic.Ast.lval) =
+  let open Minic.Ast in
+  let rec block b = List.map stmt b
+  and stmt s =
+    match s.skind with
+    | Assign (Var "x", e) -> { s with skind = Assign (lv, e) }
+    | If (c, b1, b2) -> { s with skind = If (c, block b1, block b2) }
+    | _ -> s
+  in
+  {
+    p with
+    p_funs =
+      List.map
+        (fun fd ->
+          if fd.f_name = f then { fd with f_body = block fd.f_body } else fd)
+        p.p_funs;
+  }
+
+let test_ill_typed_faults_when_run () =
+  let open Minic.Ast in
+  let faulting =
+    parse
+      {|int x; int *px;
+        void f() { output(7); x = 1; output(8); }
+        int main() { px = &x; f(); output(9); return 0; }|}
+  in
+  let untaken =
+    parse
+      {|int x; int *px;
+        void f() { output(7); if (x) { x = 2; } output(8); }
+        int main() { px = &x; f(); output(9); return 0; }|}
+  in
+  let run_p p =
+    Interp.Engine.run ~config:Interp.Engine.default_config
+      ~mode:Interp.Engine.Native ~io:(Interp.Iomodel.random ~seed:99) p
+  in
+  List.iter
+    (fun (what, lv, msg) ->
+      let o = run_p (retarget_assign faulting ~f:"f" lv) in
+      Alcotest.(check (list int)) (what ^ ": output before the node") [ 7 ]
+        (outputs o);
+      Alcotest.(check (list (pair string string)))
+        (what ^ ": the node faults the thread")
+        [ ("T0", msg) ]
+        (List.map
+           (fun (p, m) -> (Fmt.str "%a" Runtime.Key.pp_tid_path p, m))
+           o.o_faults);
+      let o = run_p (retarget_assign untaken ~f:"f" lv) in
+      Alcotest.(check (list int)) (what ^ ": untaken copy never runs")
+        [ 7; 8; 9 ] (outputs o);
+      Alcotest.(check int) (what ^ ": untaken copy never faults") 0
+        (List.length o.o_faults))
+    [
+      ("field on int", Field (Var "x", "f"), "field access on int");
+      ("-> on int", Arrow (Lval (Var "x"), "f"), "-> on non-pointer 0");
+      ("-> on int*", Arrow (Lval (Var "px"), "f"), "-> on int*");
+    ]
+
+(* ------------------------------------------------------------------ *)
+(* Memory-hook order of builtin arguments and loop-lock range bounds *)
+
+(* Every builtin that reads an argument from memory, plus a two-lock
+   [WeakEnter] whose first lock claims two ranges; ticks cannot pin the
+   order of these reads (evaluation charges none), so the test pins the
+   full [on_mem] event list. *)
+let hook_order_src =
+  {|int m; int c; int bar; int one = 1; int flag = 0; int nmax = 2;
+    int nsz = 3; int code = 0; int buf[4]; int fbuf[4];
+    int *pm; int *pc; int *pbar; int *pone; int *pbuf; int *pend;
+    int *pf; int *pfend;
+    void child(int *arg) {
+      lock(pm);
+      flag = *arg;
+      cond_signal(pc);
+      unlock(pm);
+    }
+    void region(int *u) { output(*u); }
+    int main() {
+      int t; int k; int *h;
+      pm = &m; pc = &c; pbar = &bar; pone = &one;
+      pbuf = buf; pend = &buf[3]; pf = fbuf; pfend = &fbuf[2];
+      k = input();
+      barrier_init(pbar, one);
+      barrier_wait(pbar);
+      lock(pm);
+      t = spawn(child, pone);
+      while (flag == 0) { cond_wait(pc, pm); }
+      cond_broadcast(pc);
+      unlock(pm);
+      join(t);
+      net_read(pbuf, nmax);
+      file_read(pf, nmax);
+      h = malloc(nsz);
+      free(h);
+      region(&k);
+      exit(code);
+      return 0;
+    }|}
+
+let hook_order_events () =
+  let open Minic.Ast in
+  let p = parse hook_order_src in
+  Fresh.reset_from p;
+  let var v = Lval (Var v) in
+  let range lo hi wr_write = { wr_lo = var lo; wr_hi = var hi; wr_write } in
+  let bb = { wl_id = 1; wl_gran = Gbb } in
+  let loop = { wl_id = 2; wl_gran = Gloop } in
+  let wrap (fd : fundec) =
+    if fd.f_name <> "region" then fd
+    else
+      {
+        fd with
+        f_body =
+          Fresh.stmt
+            (WeakEnter
+               [
+                 {
+                   wa_lock = bb;
+                   wa_ranges =
+                     [ range "pbuf" "pend" true; range "pf" "pfend" false ];
+                 };
+                 (* two blocks: the claim falls back to total *)
+                 { wa_lock = loop; wa_ranges = [ range "pf" "pend" false ] };
+               ])
+          :: fd.f_body
+          @ [ Fresh.stmt (WeakExit [ loop; bb ]) ];
+      }
+  in
+  let p = { p with p_funs = List.map wrap p.p_funs } in
+  let events = ref [] in
+  let hooks = Interp.Engine.no_hooks () in
+  hooks.on_mem <-
+    Some
+      (fun tid a ~write ~sid ->
+        events :=
+          Fmt.str "%d %a %s %d" tid Runtime.Key.pp_addr a
+            (if write then "w" else "r")
+            sid
+          :: !events);
+  let o =
+    Interp.Engine.run ~hooks
+      ~config:{ Interp.Engine.default_config with cores = 2 }
+      ~mode:Interp.Engine.Native ~io:(Interp.Iomodel.random ~seed:99) p
+  in
+  (o, List.rev !events)
+
+(* recorded from the engine, not derived: a change here changes what
+   dynamic analyses observe *)
+let expected_hook_order =
+  [
+    "0 pm+0 w 6";
+    "0 pc+0 w 7";
+    "0 pbar+0 w 8";
+    "0 pone+0 w 9";
+    "0 pbuf+0 w 10";
+    "0 pend+0 w 11";
+    "0 pf+0 w 12";
+    "0 pfend+0 w 13";
+    "0 frame(T0,0)+1 w 14";
+    "0 pbar+0 r 15";
+    "0 one+0 r 15";
+    "0 pbar+0 r 16";
+    "0 pm+0 r 17";
+    "0 pone+0 r 18";
+    "0 frame(T0,0)+0 w 18";
+    "0 flag+0 r 20";
+    "0 pm+0 r 19";
+    "0 pc+0 r 19";
+    "1 pm+0 r 1";
+    "1 frame(T0.0,0)+0 r 2";
+    "1 one+0 r 2";
+    "1 flag+0 w 2";
+    "1 pc+0 r 3";
+    "1 pm+0 r 4";
+    "0 flag+0 r 20";
+    "0 pc+0 r 21";
+    "0 pm+0 r 22";
+    "0 frame(T0,0)+0 r 23";
+    "0 pbuf+0 r 24";
+    "0 nmax+0 r 24";
+    "0 buf+0 w 24";
+    "0 buf+1 w 24";
+    "0 pf+0 r 25";
+    "0 nmax+0 r 25";
+    "0 fbuf+0 w 25";
+    "0 fbuf+1 w 25";
+    "0 nsz+0 r 26";
+    "0 frame(T0,0)+2 w 26";
+    "0 frame(T0,0)+2 r 27";
+    "0 pbuf+0 r 32";
+    "0 pend+0 r 32";
+    "0 pf+0 r 32";
+    "0 pfend+0 r 32";
+    "0 pf+0 r 32";
+    "0 pend+0 r 32";
+    "0 frame(T0,1)+0 r 5";
+    "0 frame(T0,0)+1 r 5";
+    "0 code+0 r 29";
+  ]
+
+let test_hook_order () =
+  let o, events = hook_order_events () in
+  Alcotest.(check (option int)) "program exits through exit()" (Some 0) o.o_exit;
+  Alcotest.(check (list string)) "on_mem events" expected_hook_order events
+
+(* ------------------------------------------------------------------ *)
 (* Mem.state_hash: complete and allocation-order independent *)
 
 (* [n] globals g00..g{n-1} of 3 cells each, allocated in [order], and a
@@ -495,6 +705,10 @@ let suite =
     Alcotest.test_case "io latency overlap" `Quick test_io_latency_overlap;
     Alcotest.test_case "weak timeout breaks deadlock" `Quick
       test_weak_timeout_breaks_deadlock;
+    Alcotest.test_case "ill-typed node faults when run" `Quick
+      test_ill_typed_faults_when_run;
+    Alcotest.test_case "memory-hook order of builtin args and ranges" `Quick
+      test_hook_order;
     Alcotest.test_case "state hash covers every block" `Quick
       test_state_hash_complete;
     Alcotest.test_case "state hash ignores block-id order" `Quick
