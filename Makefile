@@ -116,11 +116,12 @@ stress-check:
 # runtime-acquisition drops on >= 2 apps, and drive the CLI loop end to
 # end: stress --corpus materialises a manifest, refine emits deployment
 # JSON, a hand-corrupted plan digest exits with the typed issue status.
-# JSON report lands in /tmp/chimera-refine.json.
+# JSON report lands in $(REFINE_JSON) (default /tmp/chimera-refine.json).
+REFINE_JSON ?= /tmp/chimera-refine.json
 refine-check:
 	dune build bin/chimera_cli.exe test/refine_check.exe
 	CHIMERA_CLI=./_build/default/bin/chimera_cli.exe \
-		./_build/default/test/refine_check.exe
+		./_build/default/test/refine_check.exe --json $(REFINE_JSON)
 
 # segmented-log gate: record knot's sustained load (20k requests)
 # through the spilling recorder with a small segment threshold, measure
@@ -130,11 +131,12 @@ refine-check:
 # checkpoint is a well-formed digest and the directory holds only
 # segments + manifest, and drive the CLI --segment-dir loop end to end — a
 # hand-corrupted segment checksum must exit with the typed status 3.
-# JSON report lands in /tmp/chimera-log.json.
+# JSON report lands in $(LOG_JSON) (default /tmp/chimera-log.json).
+LOG_JSON ?= /tmp/chimera-log.json
 log-check:
 	dune build bin/chimera_cli.exe test/log_check.exe
 	CHIMERA_CLI=./_build/default/bin/chimera_cli.exe \
-		./_build/default/test/log_check.exe
+		./_build/default/test/log_check.exe --json $(LOG_JSON)
 
 # sustained-load segmented recording experiment: serve 20k requests
 # through each server benchmark under the spilling recorder, verify

@@ -12,8 +12,9 @@
       work stealing — simulated time (ticks) plays the role of wall-clock
       time in the evaluation;
     - a recording mode that logs nondeterministic inputs, the per-object
-      synchronization order, the weak-lock acquisition order, and the
-      per-core schedule, charging the cost model for every log append;
+      synchronization order, the weak-lock acquisition order, and a
+      digest of the per-core schedule, charging the cost model for every
+      input, sync and weak-lock log append (the digest is free);
     - a replay mode that feeds back inputs and enforces the recorded
       orders (blocking threads whose operation is not next), without
       gating data accesses — deterministic replay therefore {e depends}

@@ -8,14 +8,18 @@
     - the {e order log}: the happens-before order of original
       synchronization operations (per-object operation order), the
       per-weak-lock acquisition order, forced-release (timeout) events,
-      and the per-core thread schedule segments (informational).
+      and a 63-bit digest of the thread schedule (informational: replay
+      never reads it; it only keeps schedule-distinct recordings
+      distinct under content addressing).
 
     Threads are named by schedule-independent {!Runtime.Key.tid_path}s and
     objects by {!Runtime.Key.addr} / weak-lock ids, so a replayer running
     under a different scheduler still matches events.
 
     Serialization uses a simple varint-based binary format; reported log
-    sizes (Table 2) are the compressed sizes of these encodings.
+    sizes (Table 2) are the compressed sizes of these encodings. The
+    order log opens with a one-byte format tag and closes with the
+    schedule digest as 8 fixed little-endian bytes.
 
     Event sequences are stored newest-first (the recorder appends with a
     cons); encoding streams them oldest-first through a single buffer via
@@ -92,13 +96,6 @@ type forced_event = {
   fe_lock : Minic.Ast.weak_lock;
 }
 
-type sched_segment = {
-  sg_core : int;
-  sg_tid : Key.tid_path;
-  mutable sg_ticks : int;
-      (** mutable so the recorder extends the open segment in place *)
-}
-
 type t = {
   (* input log *)
   inputs : (Key.tid_path, int list list ref) Hashtbl.t;
@@ -112,7 +109,9 @@ type t = {
     (Minic.Ast.weak_lock, (Key.tid_path * sclaim) list ref) Hashtbl.t;
       (** per-lock acquisition sequence with claimed ranges, reversed *)
   mutable forced : forced_event list;  (** reversed *)
-  mutable sched : sched_segment list;  (** reversed *)
+  mutable sched_digest : int;
+      (** every resumed step's (core, thread, ticks), folded in order by
+          {!Recorder.rec_sched} *)
 }
 
 let create () =
@@ -122,7 +121,7 @@ let create () =
     sync_order = Hashtbl.create 64;
     weak_order = Hashtbl.create 64;
     forced = [];
-    sched = [];
+    sched_digest = 0;
   }
 
 (** The append cell for key [k] of table [tbl], created empty on first
@@ -154,17 +153,17 @@ let oldest_first (xs : 'a list) : 'a array =
 (* Binary encoding *)
 
 module Enc = struct
+  (* zigzag, total over [int]: [z] is read as an unsigned 63-bit value,
+     so [min_int] and [max_int] encode like any other int *)
   let varint b n =
-    (* zigzag for negatives *)
-    let n = if n >= 0 then n lsl 1 else ((-n) lsl 1) lor 1 in
-    let rec go n =
-      if n < 0x80 then Buffer.add_char b (Char.chr n)
+    let rec go z =
+      if z land lnot 0x7f = 0 then Buffer.add_char b (Char.chr z)
       else begin
-        Buffer.add_char b (Char.chr (0x80 lor (n land 0x7f)));
-        go (n lsr 7)
+        Buffer.add_char b (Char.chr (0x80 lor (z land 0x7f)));
+        go (z lsr 7)
       end
     in
-    go n
+    go ((n lsl 1) lxor (n asr 62))
 
   let string b s =
     varint b (String.length s);
@@ -196,18 +195,20 @@ module Dec = struct
   let corrupt c fmt =
     Fmt.kstr (fun m -> raise (Corrupt (Fmt.str "%s (byte %d)" m c.pos))) fmt
 
+  (* nine 7-bit groups hold all 63 bits; a tenth is corruption *)
   let varint c =
     let len = String.length c.s in
-    let rec go shift acc =
+    let rec go shift z =
       if c.pos >= len then corrupt c "truncated varint";
-      if shift > 62 then corrupt c "varint overflow";
       let byte = Char.code c.s.[c.pos] in
       c.pos <- c.pos + 1;
-      let acc = acc lor ((byte land 0x7f) lsl shift) in
-      if byte land 0x80 <> 0 then go (shift + 7) acc else acc
+      let z = z lor ((byte land 0x7f) lsl shift) in
+      if byte land 0x80 = 0 then z
+      else if shift = 56 then corrupt c "varint overflow"
+      else go (shift + 7) z
     in
     let z = go 0 0 in
-    if z land 1 = 0 then z lsr 1 else -(z lsr 1)
+    (z lsr 1) lxor -(z land 1)
 
   let string c =
     let n = varint c in
@@ -305,6 +306,12 @@ let sorted_keys (tbl : ('k, 'v) Hashtbl.t) (cmp : 'k -> 'k -> int) : 'k array
 let mark_at (mark : (int -> unit) option) b =
   match mark with Some f -> f (Buffer.length b) | None -> ()
 
+(* First byte of an order log. Odd, so never the first byte of the
+   untagged format that ended in a per-step schedule segment list: that
+   format opened with the varint of a non-negative count, whose first
+   byte has bit 0 clear. *)
+let order_tag = '\x03'
+
 (* a rev_seq whose element boundaries are marked *)
 let rev_seq_marked mark b f xs =
   let a = oldest_first xs in
@@ -333,6 +340,8 @@ let encode_input_log_gen ~mark (t : t) : string =
 
 let encode_order_log_gen ~mark (t : t) : string =
   let b = Buffer.create 1024 in
+  Buffer.add_char b order_tag;
+  mark_at mark b;
   let sync_keys = sorted_keys t.sync_order Key.compare_addr in
   Enc.varint b (Array.length sync_keys);
   mark_at mark b;
@@ -372,18 +381,13 @@ let encode_order_log_gen ~mark (t : t) : string =
       Enc.varint b fe.fe_acqs;
       Enc.weak_lock b fe.fe_lock)
     t.forced;
-  rev_seq_marked mark b
-    (fun b sg ->
-      Enc.varint b sg.sg_core;
-      Enc.tid_path b sg.sg_tid;
-      Enc.varint b sg.sg_ticks)
-    t.sched;
+  Buffer.add_int64_le b (Int64.of_int t.sched_digest);
   Buffer.contents b
 
 (** Serialize the input log (syscall values + global syscall order). *)
 let encode_input_log (t : t) : string = encode_input_log_gen ~mark:None t
 
-(** Serialize the order log (sync + weak + forced + schedule). *)
+(** Serialize the order log (sync + weak + forced + schedule digest). *)
 let encode_order_log (t : t) : string = encode_order_log_gen ~mark:None t
 
 (* the marked variants: encoding plus the sorted, deduplicated record
@@ -428,6 +432,9 @@ let decode (input_log : string) (order_log : string) : t =
   t.syscall_order <- Dec.rev_list c Dec.tid_path;
   check_consumed c "input log";
   let c = { Dec.s = order_log; pos = 0 } in
+  if order_log = "" || order_log.[0] <> order_tag then
+    Dec.corrupt c "order log tag missing (want %C)" order_tag;
+  c.pos <- 1;
   let nsync = Dec.varint c in
   for _ = 1 to nsync do
     let a = Dec.addr c in
@@ -469,11 +476,12 @@ let decode (input_log : string) (order_log : string) : t =
         let acqs = Dec.varint c in
         let lock = Dec.weak_lock c in
         { fe_owner = owner; fe_steps = steps; fe_acqs = acqs; fe_lock = lock });
-  t.sched <-
-    Dec.rev_list c (fun c ->
-        let core = Dec.varint c in
-        let tid = Dec.tid_path c in
-        let ticks = Dec.varint c in
-        { sg_core = core; sg_tid = tid; sg_ticks = ticks });
+  if c.pos + 8 > String.length c.s then
+    Dec.corrupt c "truncated schedule digest";
+  let d = String.get_int64_le c.s c.pos in
+  if Int64.of_int (Int64.to_int d) <> d then
+    Dec.corrupt c "schedule digest %Lx out of range" d;
+  t.sched_digest <- Int64.to_int d;
+  c.pos <- c.pos + 8;
   check_consumed c "order log";
   t

@@ -4,7 +4,7 @@
     results in per-thread order + the global syscall serialization) and
     the {e order log} (per-object synchronization order, per-weak-lock
     acquisition order with claimed address ranges, forced-release events,
-    per-core schedule segments). Threads are named by
+    and a digest of the thread schedule). Threads are named by
     {!Runtime.Key.tid_path}s and objects by stable {!Runtime.Key.addr}s
     so a replayer under a different scheduler still matches events. *)
 
@@ -53,13 +53,6 @@ type forced_event = {
   fe_lock : Minic.Ast.weak_lock;
 }
 
-type sched_segment = {
-  sg_core : int;
-  sg_tid : Key.tid_path;
-  mutable sg_ticks : int;
-      (** mutable so the recorder extends the open segment in place *)
-}
-
 type t = {
   inputs : (Key.tid_path, int list list ref) Hashtbl.t;
       (** per-thread recorded syscall bursts, newest first *)
@@ -70,7 +63,9 @@ type t = {
     (Minic.Ast.weak_lock, (Key.tid_path * sclaim) list ref) Hashtbl.t;
       (** per-lock acquisition sequence with claims, reversed *)
   mutable forced : forced_event list;  (** reversed *)
-  mutable sched : sched_segment list;  (** reversed *)
+  mutable sched_digest : int;
+      (** 63-bit digest of every resumed step's (core, thread, ticks), in
+          order; never read by replay *)
 }
 (** Keyed event sequences live behind [ref] cells so the recorder appends
     with a single table lookup; sequences are stored newest-first. *)
@@ -97,6 +92,8 @@ val encode_input_log_marked : t -> string * int array
 val encode_order_log_marked : t -> string * int array
 
 val decode : string -> string -> t
-(** @raise Corrupt on truncated or malformed input, and on trailing
-    bytes left after either log's structure is complete — a recording
-    must consume both buffers exactly. *)
+(** @raise Corrupt on truncated or malformed input, on trailing bytes
+    left after either log's structure is complete — a recording must
+    consume both buffers exactly — and on an order log without the
+    leading format tag (the older format that stored a per-step
+    schedule segment list). *)

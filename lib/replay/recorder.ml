@@ -84,12 +84,23 @@ let rec_forced (t : t) ~(owner : Key.tid_path) ~(steps : int) ~(acqs : int)
     { fe_owner = owner; fe_steps = steps; fe_acqs = acqs; fe_lock = lock }
     :: t.log.forced
 
+(* splitmix64's finalizer on OCaml's 63-bit ints, its multipliers cut
+   to odd 62-bit constants (still bijective mod 2^63) *)
+let mix z =
+  let z = (z lxor (z lsr 30)) * 0x3F58476D1CE4E5B9 in
+  let z = (z lxor (z lsr 27)) * 0x14D049BB133111EB in
+  z lxor (z lsr 31)
+
+let absorb h x = mix (h + 0x1E3779B97F4A7C15 + x)
+
+let rec absorb_path h = function [] -> h | x :: p -> absorb_path (absorb h x) p
+
 let rec_sched (t : t) ~(core : int) ~(tp : Key.tid_path) ~(ticks : int) =
-  (* merge with previous segment when the same thread stays on the core *)
-  match t.log.sched with
-  | sg :: _ when sg.sg_core = core && sg.sg_tid = tp ->
-      sg.sg_ticks <- sg.sg_ticks + ticks
-  | _ -> t.log.sched <- { sg_core = core; sg_tid = tp; sg_ticks = ticks } :: t.log.sched
+  (* core, path length, path, ticks: a prefix-free step encoding, so
+     the digest separates exactly the step sequences a per-step log
+     would *)
+  let h = absorb (absorb t.log.sched_digest core) (List.length tp) in
+  t.log.sched_digest <- absorb (absorb_path h tp) ticks
 
 let seal (t : t) (sp : spill) ~(now : int) =
   sp.sp_flush ~log:t.log ~first_tick:t.seg_first_tick ~last_tick:now

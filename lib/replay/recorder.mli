@@ -61,7 +61,8 @@ val rec_forced :
   lock:Minic.Ast.weak_lock ->
   unit
 
-(** Adjacent segments of the same thread on the same core merge. *)
+(** Fold one resumed step into the open segment's schedule digest
+    ({!Log.t.sched_digest}): O(1) memory, no allocation, no ticks. *)
 val rec_sched : t -> core:int -> tp:Key.tid_path -> ticks:int -> unit
 
 (** Weak-lock log entries per granularity: (func, loop, bb, instr). *)

@@ -7,7 +7,7 @@
     - [manifest] — one text line per segment (index, tick range, event
       count, raw/compressed sizes, MD5 of each compressed blob, optional
       checkpoint pin), bracketed by the magic header
-      ["chimera-log-segments/2"] and a trailing [end <count>] line so a
+      ["chimera-log-segments/3"] and a trailing [end <count>] line so a
       truncated manifest is detected. A checkpoint pin is the engine's
       32-hex state digest at the seal ([ckpt=<digest>], or [ckpt=-]);
       nothing else is stored for it;
@@ -18,12 +18,12 @@
       historical single-blob encoding — golden ticks and record==replay
       stay the contract.
 
-    Every corruption — bad magic (a v1 directory included), size or
+    Every corruption — bad magic (a v1 or v2 directory included), size or
     checksum mismatch, truncation, trailing bytes, a malformed pin —
     surfaces as the typed {!Log.Corrupt}, exactly like a damaged
     monolithic log; nothing in here crashes on garbage. *)
 
-let magic = "chimera-log-segments/2"
+let magic = "chimera-log-segments/3"
 let segment_magic = "chimera-log-segment/1"
 
 type segment = {

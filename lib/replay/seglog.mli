@@ -1,14 +1,14 @@
-(** Segmented on-disk recording ([chimera-log-segments/2]): sealed,
+(** Segmented on-disk recording ([chimera-log-segments/3]): sealed,
     {!Zcompress}ed, MD5-checksummed log segments in a directory with a
     manifest, written incrementally by the spilling recorder and
     streamed back by {!Replayer.of_stream}. Optional per-seal engine
     checkpoints — each exactly one state digest — are pinned in the
-    manifest. All corruption — bad magic (a v1 directory included), size
-    or checksum mismatches, truncation, malformed pins — raises the
-    typed {!Log.Corrupt}, never a crash. *)
+    manifest. All corruption — bad magic (a v1 or v2 directory
+    included), size or checksum mismatches, truncation, malformed pins —
+    raises the typed {!Log.Corrupt}, never a crash. *)
 
 val magic : string
-(** Manifest header: ["chimera-log-segments/2"]. *)
+(** Manifest header: ["chimera-log-segments/3"]. *)
 
 val segment_magic : string
 (** Per-segment-file header: ["chimera-log-segment/1"]. *)

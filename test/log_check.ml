@@ -27,10 +27,12 @@
       exit with the typed corrupt-log status (3) — never a crash, and
       never a silent success.
 
-    A machine-readable report lands in /tmp/chimera-log.json (schema
-    chimera-log-check/1), validated by the shared {!Bjson} reader
-    before it is written. Exits 0 when every check passes, 1
-    otherwise. *)
+    A machine-readable report lands in [--json PATH] (default
+    /tmp/chimera-log.json; schema chimera-log-check/1), validated by the
+    shared {!Bjson} reader before it is written. Exits 0 when every
+    check passes, 1 otherwise. *)
+
+let json_file = ref "/tmp/chimera-log.json"
 
 let failures = ref 0
 
@@ -268,12 +270,18 @@ let report_json (lr : lib_results) =
   (match Bjson.parse doc with
   | exception Bjson.Bad m -> check (Fmt.str "report JSON parses (%s)" m) false
   | _ -> ());
-  let oc = open_out "/tmp/chimera-log.json" in
+  let oc = open_out !json_file in
   output_string oc doc;
   close_out oc;
-  Fmt.pr "report: /tmp/chimera-log.json@."
+  Fmt.pr "report: %s@." !json_file
 
 let () =
+  (match List.tl (Array.to_list Sys.argv) with
+  | [] -> ()
+  | [ "--json"; f ] -> json_file := f
+  | a :: _ ->
+      Fmt.epr "log_check: unknown argument %s@." a;
+      exit 2);
   Fmt.pr "segmented-log gate: sustained spill / stream / checkpoint@.";
   let lr = run_library () in
   Fmt.pr "segmented-log gate: CLI record/replay/window/corrupt loop@.";

@@ -12,9 +12,9 @@
       the refined instrumentation: both must satisfy record == replay,
       refined runtime weak-lock acquisitions must never exceed lockopt,
       and at least two of the three applications must drop strictly;
-    - a machine-readable report lands in /tmp/chimera-refine.json
-      (schema chimera-refine-check/1), validated by the shared Bjson
-      reader before it is written.
+    - a machine-readable report lands in [--json PATH] (default
+      /tmp/chimera-refine.json; schema chimera-refine-check/1),
+      validated by the shared Bjson reader before it is written.
 
     CLI leg, end to end through the installed subcommands:
 
@@ -40,6 +40,8 @@ let check what ok =
 let cli =
   try Sys.getenv "CHIMERA_CLI"
   with Not_found -> "./_build/default/bin/chimera_cli.exe"
+
+let json_file = ref "/tmp/chimera-refine.json"
 
 let benches = [ "pfscan"; "fft"; "ocean" ]
 let seeds = [ 1; 2; 3; 4 ]
@@ -156,11 +158,10 @@ let emit_report (rows : row list) =
   (match Bjson.parse doc with
   | exception Bjson.Bad m -> check (Fmt.str "report JSON parses (%s)" m) false
   | _ -> check "report JSON parses" true);
-  let path = "/tmp/chimera-refine.json" in
-  let oc = open_out path in
+  let oc = open_out !json_file in
   output_string oc doc;
   close_out oc;
-  Fmt.pr "  report: %s@." path
+  Fmt.pr "  report: %s@." !json_file
 
 (* ------------------------------------------------------------------ *)
 (* CLI leg *)
@@ -229,6 +230,12 @@ let cli_leg () =
   ignore (sh (Fmt.str "rm -rf %s" (Filename.quote dir)))
 
 let () =
+  (match List.tl (Array.to_list Sys.argv) with
+  | [] -> ()
+  | [ "--json"; f ] -> json_file := f
+  | a :: _ ->
+      Fmt.epr "refine_check: unknown argument %s@." a;
+      exit 2);
   let rows = library_leg () in
   emit_report rows;
   cli_leg ();

@@ -53,10 +53,58 @@ let test_counters () =
   Alcotest.(check (list int)) "weak by gran" [ 1; 2; 0; 0 ] [ f; l; b; i ];
   Alcotest.(check int) "forced" 1 rc.Replay.Recorder.n_forced
 
-let test_sched_merge () =
-  let rc = build_sample () in
-  Alcotest.(check int) "adjacent same-core segments merged" 2
-    (List.length rc.Replay.Recorder.log.sched)
+(* schedule digest: two seeds of a lock-free two-worker program record
+   the same inputs and the same happens-before order but different
+   thread schedules (seeds 1 and 2 stored per-step segment lists of 219
+   and 201 entries when the schedule was logged in full) *)
+let sched_src =
+  {|int ids[2]; int out[2];
+    void w(int *u) {
+      int i; int s;
+      s = 0;
+      for (i = 0; i < 40; i++) { s = s + i * *u; }
+      out[*u - 1] = s;
+    }
+    int main() { int t1; int t2;
+      ids[0] = 1; ids[1] = 2;
+      t1 = spawn(w, &ids[0]); t2 = spawn(w, &ids[1]);
+      join(t1); join(t2);
+      output(out[0] + out[1]);
+      return 0; }|}
+
+let record_sched seed =
+  let p = Minic.Parser.parse ~file:"sched" sched_src in
+  let config = { Interp.Engine.default_config with seed; cores = 4 } in
+  (Chimera.Runner.record ~config ~io:(Interp.Iomodel.random ~seed:3) p)
+    .Chimera.Runner.rc_log
+
+(* both encodings with the schedule digest zeroed: the happens-before
+   content of a recording *)
+let hb_part (log : Replay.Log.t) =
+  let d = log.sched_digest in
+  log.sched_digest <- 0;
+  let s = Replay.Log.encode_input_log log ^ Replay.Log.encode_order_log log in
+  log.sched_digest <- d;
+  s
+
+let test_sched_digest_identical () =
+  let a = record_sched 1 and b = record_sched 1 in
+  Alcotest.(check bool) "digest folded some steps" true
+    (a.Replay.Log.sched_digest <> 0);
+  Alcotest.(check int) "identical executions, equal digests"
+    a.Replay.Log.sched_digest b.Replay.Log.sched_digest;
+  Alcotest.(check string) "identical executions, equal content address"
+    (Chimera.Stress.log_digest a) (Chimera.Stress.log_digest b)
+
+let test_sched_digest_separates () =
+  let a = record_sched 1 and b = record_sched 2 in
+  Alcotest.(check bool) "same inputs and happens-before order" true
+    (hb_part a = hb_part b);
+  Alcotest.(check bool) "different schedules, different digests" true
+    (a.Replay.Log.sched_digest <> b.Replay.Log.sched_digest);
+  Alcotest.(check bool) "different schedules, different content addresses"
+    true
+    (Chimera.Stress.log_digest a <> Chimera.Stress.log_digest b)
 
 let test_replayer_inputs () =
   let rc = build_sample () in
@@ -364,6 +412,61 @@ let test_decode_large_sequences () =
   Alcotest.(check string) "re-encode stable" i
     (Replay.Log.encode_input_log log')
 
+(* [build_sample]'s order log as the untagged format encoded it, ending
+   in the merged schedule segments (core 0, [], 8 ticks) and
+   (core 1, [0], 2 ticks) *)
+let untagged_sample_order_log =
+  "\x04\x00\x02\x62\x04\x02\x06\x02\x02\x00\x02\x6d\x00\x04\x00\x02\x00\x02\
+   \x02\x00\x04\x00\x00\x02\x00\x00\x02\x06\x04\x02\x00\x02\x00\x08\x72\x61\
+   \x6e\x6b\x00\x0e\x02\x02\x02\x02\x00\x08\x72\x61\x6e\x6b\x10\x1e\x02\x02\
+   \x02\x02\x92\x0c\x06\x02\x06"
+  ^ "\x04\x00\x00\x10\x02\x02\x00\x04"
+
+let test_untagged_order_log_rejected () =
+  let log = (build_sample ()).Replay.Recorder.log in
+  let i = Replay.Log.encode_input_log log in
+  let o = Replay.Log.encode_order_log log in
+  let n = String.length untagged_sample_order_log in
+  (* the sections both formats share are byte-identical... *)
+  Alcotest.(check string) "shared sections unchanged"
+    (String.sub untagged_sample_order_log 0 (n - 8))
+    (String.sub o 1 (String.length o - 9));
+  (* ...and the segment section is exactly as long as a digest field,
+     so only the tag tells the formats apart *)
+  Alcotest.(check bool) "untagged order log rejected" true
+    (is_corrupt i untagged_sample_order_log);
+  ignore
+    (corrupt_has_offset (fun () -> Replay.Log.decode i untagged_sample_order_log))
+
+(* varints are total over [int]: a claim bound is program-computed, so
+   any value can reach the encoder *)
+let claim_roundtrip n =
+  let rc = Replay.Recorder.create () in
+  Replay.Recorder.rec_weak rc ~lock:(wl 1 Gloop) ~tp:[ 0 ]
+    ~claim:[ sr "v" n (-n) ];
+  let log = rc.Replay.Recorder.log in
+  let log' =
+    Replay.Log.decode
+      (Replay.Log.encode_input_log log)
+      (Replay.Log.encode_order_log log)
+  in
+  match Hashtbl.find_opt log'.Replay.Log.weak_order (wl 1 Gloop) with
+  | Some { contents = [ (_, [ r ]) ] } -> (r.sr_lo, r.sr_hi)
+  | _ -> Alcotest.fail "claim lost in the roundtrip"
+
+let test_varint_extremes () =
+  List.iter
+    (fun n ->
+      Alcotest.(check (pair int int))
+        (Fmt.str "claim bound %d roundtrips" n)
+        (n, -n) (claim_roundtrip n))
+    [ min_int; max_int; 1 lsl 61; -(1 lsl 61); (1 lsl 61) - 1;
+      1 - (1 lsl 61); min_int + 1; 0; -1; 1 ]
+
+let prop_varint_roundtrip =
+  QCheck.Test.make ~name:"varint roundtrip over the full int range"
+    ~count:1000 QCheck.int (fun n -> claim_roundtrip n = (n, -n))
+
 (* qcheck: encode/decode roundtrip over random logs *)
 let prop_log_roundtrip =
   let open QCheck in
@@ -449,7 +552,13 @@ let suite =
   [
     Alcotest.test_case "log roundtrip" `Quick test_roundtrip;
     Alcotest.test_case "recorder counters" `Quick test_counters;
-    Alcotest.test_case "sched segments merge" `Quick test_sched_merge;
+    Alcotest.test_case "schedule digest: identical executions agree" `Quick
+      test_sched_digest_identical;
+    Alcotest.test_case "schedule digest: schedules separate" `Quick
+      test_sched_digest_separates;
+    Alcotest.test_case "corrupt: untagged order log" `Quick
+      test_untagged_order_log_rejected;
+    Alcotest.test_case "varint extremes" `Quick test_varint_extremes;
     Alcotest.test_case "replayer inputs" `Quick test_replayer_inputs;
     Alcotest.test_case "replayer sync order" `Quick test_replayer_sync_order;
     Alcotest.test_case "weak turn conflict rules" `Quick
@@ -470,4 +579,5 @@ let suite =
       test_decode_large_sequences;
     QCheck_alcotest.to_alcotest prop_log_roundtrip;
     QCheck_alcotest.to_alcotest prop_log_roundtrip_large;
+    QCheck_alcotest.to_alcotest prop_varint_roundtrip;
   ]

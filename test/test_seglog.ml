@@ -273,12 +273,18 @@ let test_corrupt_checkpoint_pin () =
       ("overlong pin is typed", fun p -> p ^ "00");
     ]
 
-let test_corrupt_v1_manifest () =
+(* an older manifest version is typed, not read as the current format:
+   v1 stored snapshot files, v2 segments still carry per-step schedule
+   segment lists *)
+let old_manifest_is_typed version () =
   with_seg_dir @@ fun dir ->
   let _ = record_seg ~dir () in
-  edit_manifest_line dir 0 (fun _ -> "chimera-log-segments/1");
-  Alcotest.(check bool) "v1 manifest is typed" true
+  edit_manifest_line dir 0 (fun _ -> "chimera-log-segments/" ^ version);
+  Alcotest.(check bool) ("v" ^ version ^ " manifest is typed") true
     (is_corrupt (fun () -> replay_dir dir))
+
+let test_corrupt_v1_manifest = old_manifest_is_typed "1"
+let test_corrupt_v2_manifest = old_manifest_is_typed "2"
 
 let suite =
   [
@@ -300,4 +306,5 @@ let suite =
     Alcotest.test_case "corrupt: tampered checkpoint pin" `Quick
       test_corrupt_checkpoint_pin;
     Alcotest.test_case "corrupt: v1 manifest" `Quick test_corrupt_v1_manifest;
+    Alcotest.test_case "corrupt: v2 manifest" `Quick test_corrupt_v2_manifest;
   ]
